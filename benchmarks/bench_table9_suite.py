@@ -14,13 +14,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 from _common import DRIVE, SEED, save_result
 
-from repro.core.suite import run_suite, suite_table
+from repro.core.suite import run_profile_studies, suite_table
 
 SPAN = 120.0
 
 
 def test_table9_suite(benchmark):
-    studies = benchmark(run_suite, DRIVE, None, SPAN, SEED)
+    studies = benchmark(run_profile_studies, DRIVE, None, SPAN, SEED)
     table = suite_table(studies)
     save_result("table9_suite", table.render())
 

@@ -459,16 +459,113 @@ def _failure_table(report) -> Table:
     return table
 
 
+def _run_suite_command(
+    args: argparse.Namespace,
+    jobs,
+    render,
+    json_head: dict,
+    shard_size: int = 1,
+    sort_keys: bool = False,
+    **runner_options,
+) -> int:
+    """The suite driver ``run-suite`` and ``fleet`` share.
+
+    Runs ``jobs`` as one suite under the flags of :func:`add_suite_flags`
+    (chaos policy, runner, journal open/resume/close, ``SuiteError``
+    capture), then calls ``render(report)`` to print the command's own
+    tables and prints what every suite reports: failures, retries,
+    resilience and journal lines. ``render`` returns the command's extra
+    ``--json`` fields, written after ``json_head`` and the common ones.
+    ``runner_options`` go to :class:`~repro.core.runner.ExperimentRunner`.
+    """
+    import json
+
+    from repro.core.runner import ExperimentRunner, shard_jobs
+    from repro.errors import SuiteError
+
+    chaos = None
+    if args.chaos != "off":
+        from repro.core.chaos import get_chaos_policy
+
+        chaos = get_chaos_policy(args.chaos, seed=args.chaos_seed)
+    runner = ExperimentRunner(
+        workers=args.workers,
+        max_retries=args.max_retries,
+        on_error="collect" if args.keep_going else "raise",
+        chaos=chaos,
+        **runner_options,
+    )
+    unit = "job" if shard_size == 1 else "shard"
+    journal = None
+    if args.resume and not args.journal:
+        raise CliError("--resume requires --journal PATH")
+    if args.journal:
+        from repro.core.journal import SuiteJournal
+
+        shards = shard_jobs(jobs, shard_size)
+        journal = SuiteJournal.open(args.journal, shards, resume=args.resume)
+        if journal.resumed and journal.n_completed:
+            print(
+                f"(resuming from journal {args.journal}: "
+                f"{journal.n_completed} of {len(shards)} {unit}s already "
+                "recorded, skipping them)"
+            )
+    try:
+        report = runner.run_suite(jobs, journal=journal, shard_size=shard_size)
+    except SuiteError as exc:
+        report = exc.report
+        print(f"error: {exc}", file=sys.stderr)
+    finally:
+        if journal is not None:
+            journal.close()
+
+    extra = render(report)
+    if report.failures:
+        print()
+        print(_failure_table(report).render())
+    if report.retries:
+        print(f"({report.retries} retried attempt(s) across the suite)")
+    if report.resilience:
+        resilience = Table(
+            ["event", "count"],
+            title="resilience: what the crash/chaos machinery absorbed",
+        )
+        for name, count in sorted(report.resilience.items()):
+            resilience.add_row([name, count])
+        print(resilience.render())
+    if journal is not None:
+        print(
+            f"(journal {args.journal}: {journal.n_recorded} {unit}(s) recorded "
+            f"this run, {journal.n_completed} of {len(shards)} durable)"
+        )
+    if args.json:
+        payload = {
+            **json_head,
+            "jobs": [r.as_dict() for r in report.results],
+            "failures": [f.as_dict() for f in report.failures],
+            "n_jobs": report.n_jobs,
+            "workers": report.workers,
+            "retries": report.retries,
+            "wall_seconds": report.wall_seconds,
+        }
+        if report.deadline_exceeded:
+            payload["deadline_exceeded"] = True
+        if report.resilience:
+            payload["resilience"] = dict(report.resilience)
+        payload.update(extra)
+        with open(args.json, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=sort_keys)
+        print(
+            f"wrote {len(report.results)} job results "
+            f"({len(report.failures)} failures) to {args.json}"
+        )
+    return 1 if report.failures else 0
+
+
 def _cmd_run_suite(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.runner import (
-        ExperimentJob,
-        ExperimentRunner,
-        derive_seeds,
-        experiment_matrix,
-    )
-    from repro.errors import SuiteError
+    from repro.core.runner import ExperimentJob, derive_seeds, experiment_matrix
     from repro.synth.profiles import available_profiles
 
     drive = _drive(args.drive)
@@ -522,185 +619,117 @@ def _cmd_run_suite(args: argparse.Namespace) -> int:
             tier=tier,
             obs_level=obs_level,
         )
-    chaos = None
-    if args.chaos != "off":
-        from repro.core.chaos import get_chaos_policy
 
-        chaos = get_chaos_policy(args.chaos, seed=args.chaos_seed)
-    runner = ExperimentRunner(
-        workers=args.workers,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
-        on_error="collect" if args.keep_going else "raise",
-        chaos=chaos,
-        suite_deadline=args.suite_deadline,
-        rss_limit_mb=args.rss_limit_mb,
-    )
-    journal = None
-    if args.resume and not args.journal:
-        raise CliError("--resume requires --journal PATH")
-    if args.journal:
-        from repro.core.journal import SuiteJournal
-
-        journal = SuiteJournal.open(args.journal, jobs, resume=args.resume)
-        if journal.resumed and journal.n_completed:
-            print(
-                f"(resuming from journal {args.journal}: "
-                f"{journal.n_completed} of {len(jobs)} jobs already "
-                "recorded, skipping them)"
-            )
-    try:
-        report = runner.run_suite(jobs, journal=journal)
-    except SuiteError as exc:
-        report = exc.report
-        print(f"error: {exc}", file=sys.stderr)
-    finally:
-        if journal is not None:
-            journal.close()
-
-    columns = [
-        "workload", "scheduler", "seed", "requests", "utilization",
-        "mean_resp_ms", "p95_resp_ms", "replay_req_s",
-    ]
-    if faults is not None:
-        columns += ["p99_resp_ms", "faulted", "failed"]
-    if tier is not None:
-        columns += ["tier_hit_rate", "hdd_offload"]
-    title = f"run-suite: {len(jobs)} jobs on {drive.name}"
-    if faults is not None:
-        title += f" (faults={faults.name})"
-    if tier is not None:
-        title += f" (tier={tier.name})"
-    table = Table(columns, title=title, precision=3)
-    for r in report.results:
-        row = [
-            r.profile, r.scheduler, r.seed, r.n_requests, r.utilization,
-            r.mean_response * 1e3, r.p95_response * 1e3, round(r.replay_rate),
+    def render(report) -> dict:
+        columns = [
+            "workload", "scheduler", "seed", "requests", "utilization",
+            "mean_resp_ms", "p95_resp_ms", "replay_req_s",
         ]
         if faults is not None:
-            row += [r.p99_response * 1e3, r.n_faulted, r.n_failed]
+            columns += ["p99_resp_ms", "faulted", "failed"]
         if tier is not None:
-            row += [r.tier_hit_rate, r.tier_hdd_offload]
-        table.add_row(row)
-    print(table.render())
-    if tier is not None and report.tiered_results:
-        print(
-            f"(tier {tier.name!r}: hit rate {report.tier_hit_rate:.3f}, "
-            f"HDD offload {report.tier_hdd_offload:.3f}, "
-            f"{report.tier_flushed_bytes} bytes destaged, "
-            f"{report.tier_migrated_chunks} chunks migrated suite-wide)"
-        )
-    if faults is not None:
-        print(
-            f"(fault profile {faults.name!r}: {report.n_faulted} faulted, "
-            f"{report.n_failed_requests} failed requests, "
-            f"{report.fault_penalty_seconds:.3f} s recovery penalty suite-wide)"
-        )
-    if report.failures:
-        print()
-        print(_failure_table(report).render())
-    if report.retries:
-        print(f"({report.retries} retried attempt(s) across the suite)")
-    if report.resilience:
-        resilience = Table(
-            ["event", "count"],
-            title="resilience: what the crash/chaos machinery absorbed",
-        )
-        for name, count in sorted(report.resilience.items()):
-            resilience.add_row([name, count])
-        print(resilience.render())
-    if journal is not None:
-        print(
-            f"(journal {args.journal}: {journal.n_recorded} job(s) recorded "
-            f"this run, {journal.n_completed} of {report.n_jobs} durable)"
-        )
-    if report.deadline_exceeded:
-        unresolved = report.n_jobs - report.n_completed
-        print(
-            f"warning: suite deadline of {args.suite_deadline} s expired "
-            f"with {unresolved} job(s) unresolved; the report is partial"
-            + (" (resume with --journal/--resume)" if journal is not None else ""),
-            file=sys.stderr,
-        )
-    if obs_level != "off":
-        breakdown = report.phase_breakdown()
-        if breakdown:
-            phases = Table(
-                ["phase", "wall_s", "cpu_s", "jobs"],
-                title=f"per-phase breakdown (obs={obs_level})",
-                precision=4,
-            )
-            for name, entry in sorted(breakdown.items()):
-                phases.add_row(
-                    [name, entry["wall_seconds"], entry["cpu_seconds"],
-                     int(entry["jobs"])]
-                )
-            print(phases.render())
-        merged = report.merged_metrics()
-        if merged is not None:
-            print(
-                f"(suite-wide metrics: {len(merged)} series merged across "
-                f"{len(report.results)} jobs)"
-            )
-    if args.trace_events:
-        written = 0
-        with open(args.trace_events, "w") as fh:
-            for r in report.results:
-                for event in r.trace_events or ():
-                    json.dump({**event, "job": r.label}, fh, sort_keys=True)
-                    fh.write("\n")
-                    written += 1
-        print(f"wrote {written} trace events to {args.trace_events}")
-    if args.json:
-        payload = {
-            "drive": drive.name,
-            "span": args.span,
-            "jobs": [r.as_dict() for r in report.results],
-            "failures": [f.as_dict() for f in report.failures],
-            "n_jobs": report.n_jobs,
-            "workers": report.workers,
-            "retries": report.retries,
-            "wall_seconds": report.wall_seconds,
-        }
-        if report.deadline_exceeded:
-            payload["deadline_exceeded"] = True
-        if report.resilience:
-            payload["resilience"] = dict(report.resilience)
-        if obs_level != "off":
-            payload["obs_level"] = obs_level
-            payload["phase_breakdown"] = report.phase_breakdown()
-            merged = report.merged_metrics()
-            payload["metrics"] = None if merged is None else merged.as_dict()
+            columns += ["tier_hit_rate", "hdd_offload"]
+        title = f"run-suite: {len(jobs)} jobs on {drive.name}"
         if faults is not None:
-            payload["fault_profile"] = faults.name
-            payload["fault_summary"] = {
+            title += f" (faults={faults.name})"
+        if tier is not None:
+            title += f" (tier={tier.name})"
+        table = Table(columns, title=title, precision=3)
+        for r in report.results:
+            row = [
+                r.profile, r.scheduler, r.seed, r.n_requests, r.utilization,
+                r.mean_response * 1e3, r.p95_response * 1e3, round(r.replay_rate),
+            ]
+            if faults is not None:
+                row += [r.p99_response * 1e3, r.n_faulted, r.n_failed]
+            if tier is not None:
+                row += [r.tier_hit_rate, r.tier_hdd_offload]
+            table.add_row(row)
+        print(table.render())
+        extra = {}
+        if tier is not None and report.tiered_results:
+            print(
+                f"(tier {tier.name!r}: hit rate {report.tier_hit_rate:.3f}, "
+                f"HDD offload {report.tier_hdd_offload:.3f}, "
+                f"{report.tier_flushed_bytes} bytes destaged, "
+                f"{report.tier_migrated_chunks} chunks migrated suite-wide)"
+            )
+        if faults is not None:
+            print(
+                f"(fault profile {faults.name!r}: {report.n_faulted} faulted, "
+                f"{report.n_failed_requests} failed requests, "
+                f"{report.fault_penalty_seconds:.3f} s recovery penalty suite-wide)"
+            )
+        if report.deadline_exceeded:
+            unresolved = report.n_jobs - report.n_completed
+            print(
+                f"warning: suite deadline of {args.suite_deadline} s expired "
+                f"with {unresolved} job(s) unresolved; the report is partial"
+                + (" (resume with --journal/--resume)" if args.journal else ""),
+                file=sys.stderr,
+            )
+        if obs_level != "off":
+            breakdown = report.phase_breakdown()
+            if breakdown:
+                phases = Table(
+                    ["phase", "wall_s", "cpu_s", "jobs"],
+                    title=f"per-phase breakdown (obs={obs_level})",
+                    precision=4,
+                )
+                for name, entry in sorted(breakdown.items()):
+                    phases.add_row(
+                        [name, entry["wall_seconds"], entry["cpu_seconds"],
+                         int(entry["jobs"])]
+                    )
+                print(phases.render())
+            merged = report.merged_metrics()
+            if merged is not None:
+                print(
+                    f"(suite-wide metrics: {len(merged)} series merged across "
+                    f"{len(report.results)} jobs)"
+                )
+            extra["obs_level"] = obs_level
+            extra["phase_breakdown"] = breakdown
+            extra["metrics"] = None if merged is None else merged.as_dict()
+        if args.trace_events:
+            written = 0
+            with open(args.trace_events, "w") as fh:
+                for r in report.results:
+                    for event in r.trace_events or ():
+                        json.dump({**event, "job": r.label}, fh, sort_keys=True)
+                        fh.write("\n")
+                        written += 1
+            print(f"wrote {written} trace events to {args.trace_events}")
+        if faults is not None:
+            extra["fault_profile"] = faults.name
+            extra["fault_summary"] = {
                 "n_faulted": report.n_faulted,
                 "n_failed_requests": report.n_failed_requests,
                 "fault_penalty_seconds": report.fault_penalty_seconds,
             }
         if tier is not None:
-            payload["tier"] = tier.name
-            payload["tier_summary"] = {
+            extra["tier"] = tier.name
+            extra["tier_summary"] = {
                 "n_tiered_jobs": len(report.tiered_results),
                 "hit_rate": report.tier_hit_rate,
                 "hdd_offload": report.tier_hdd_offload,
                 "flushed_bytes": report.tier_flushed_bytes,
                 "migrated_chunks": report.tier_migrated_chunks,
             }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(
-            f"wrote {len(report.results)} job results "
-            f"({len(report.failures)} failures) to {args.json}"
-        )
-    return 1 if report.failures else 0
+        return extra
+
+    return _run_suite_command(
+        args,
+        jobs,
+        render,
+        json_head={"drive": drive.name, "span": args.span},
+        job_timeout=args.job_timeout,
+        suite_deadline=args.suite_deadline,
+        rss_limit_mb=args.rss_limit_mb,
+    )
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core.runner import ExperimentRunner, shard_jobs
-    from repro.errors import SuiteError
     from repro.fleet import (
         FleetSpec,
         build_fleet_plan,
@@ -709,9 +738,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
 
     drive = _drive(args.drive)
-    faults = _fault_profile(args.fault_profile)
-    tier = _tier_config(args)
-    obs_level = _obs_level_from_args(args)
     tenants = sample_tenants(
         args.tenants,
         seed=args.seed,
@@ -728,180 +754,118 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         span=args.span,
         seed=args.seed,
         queue_depth=args.queue_depth,
-        faults=faults,
-        tier=tier,
-        obs_level=obs_level,
+        faults=_fault_profile(args.fault_profile),
+        tier=_tier_config(args),
+        obs_level=_obs_level_from_args(args),
         interference=args.interference,
     )
     plan = build_fleet_plan(spec)
-    chaos = None
-    if args.chaos != "off":
-        from repro.core.chaos import get_chaos_policy
 
-        chaos = get_chaos_policy(args.chaos, seed=args.chaos_seed)
-    runner = ExperimentRunner(
-        workers=args.workers,
-        max_retries=args.max_retries,
-        on_error="collect" if args.keep_going else "raise",
-        chaos=chaos,
-    )
-    journal = None
-    if args.resume and not args.journal:
-        raise CliError("--resume requires --journal PATH")
-    if args.journal:
-        from repro.core.journal import SuiteJournal
-
-        shards = shard_jobs(plan.jobs, args.shard_size)
-        journal = SuiteJournal.open(args.journal, shards, resume=args.resume)
-        if journal.resumed and journal.n_completed:
-            print(
-                f"(resuming from journal {args.journal}: "
-                f"{journal.n_completed} of {len(shards)} shards already "
-                "recorded, skipping them)"
-            )
-    try:
-        report = runner.run_sharded(
-            plan.jobs, shard_size=args.shard_size, journal=journal
-        )
-    except SuiteError as exc:
-        report = exc.report
-        print(f"error: {exc}", file=sys.stderr)
-    finally:
-        if journal is not None:
-            journal.close()
-
-    label_to_drive = {
-        job.label: drive_index
-        for job, drive_index in zip(plan.jobs, plan.drive_indices)
-    }
-    table = Table(
-        ["drive", "tenants", "requests", "utilization", "mean_resp_ms",
-         "p99_resp_ms", "busy_s"],
-        title=(
-            f"fleet: {len(tenants)} tenants on {args.drives} x {drive.name} "
-            f"({args.placement} placement, shard_size={args.shard_size})"
-        ),
-        precision=3,
-    )
-    for r in report.results:
-        drive_index = label_to_drive.get(r.label)
-        table.add_row([
-            f"drive{drive_index:03d}" if drive_index is not None else "?",
-            len(r.tenant_qos or {}),
-            r.n_requests,
-            r.utilization,
-            r.mean_response * 1e3,
-            r.p99_response * 1e3,
-            r.total_busy,
-        ])
-    print(table.render())
-
-    summary = report.fleet_summary()
-    if summary:
-        per_tenant = Table(
-            ["tenant", "requests", "mean_resp_ms", "p99_resp_ms",
-             "p999_resp_ms", "max_resp_ms"],
-            title="per-tenant QoS (worst across the tenant's drives)",
-            precision=3,
-        )
-        for tenant_id in sorted(summary):
-            entry = summary[tenant_id]
-            per_tenant.add_row([
-                tenant_id,
-                int(entry["n_requests"]),
-                entry["mean_response"] * 1e3,
-                entry["p99_response"] * 1e3,
-                entry["p999_response"] * 1e3,
-                entry["max_response"] * 1e3,
-            ])
-        print(per_tenant.render())
-    interference_payload = {}
-    if args.interference:
-        noisy = Table(
-            ["tenant", "isolated_p99_ms", "colocated_p99_ms", "p99_inflation"],
-            title="noisy-neighbor interference (co-located vs isolated tails)",
+    def render(report) -> dict:
+        label_to_drive = {
+            job.label: drive_index
+            for job, drive_index in zip(plan.jobs, plan.drive_indices)
+        }
+        table = Table(
+            ["drive", "tenants", "requests", "utilization", "mean_resp_ms",
+             "p99_resp_ms", "busy_s"],
+            title=(
+                f"fleet: {len(tenants)} tenants on {args.drives} x {drive.name} "
+                f"({args.placement} placement, shard_size={args.shard_size})"
+            ),
             precision=3,
         )
         for r in report.results:
-            for tenant_id in sorted(r.tenant_interference or {}):
-                entry = r.tenant_interference[tenant_id]
-                interference_payload[tenant_id] = entry
-                noisy.add_row([
+            drive_index = label_to_drive.get(r.label)
+            table.add_row([
+                f"drive{drive_index:03d}" if drive_index is not None else "?",
+                len(r.tenant_qos or {}),
+                r.n_requests,
+                r.utilization,
+                r.mean_response * 1e3,
+                r.p99_response * 1e3,
+                r.total_busy,
+            ])
+        print(table.render())
+
+        summary = report.fleet_summary()
+        if summary:
+            per_tenant = Table(
+                ["tenant", "requests", "mean_resp_ms", "p99_resp_ms",
+                 "p999_resp_ms", "max_resp_ms"],
+                title="per-tenant QoS (worst across the tenant's drives)",
+                precision=3,
+            )
+            for tenant_id in sorted(summary):
+                entry = summary[tenant_id]
+                per_tenant.add_row([
                     tenant_id,
-                    entry["isolated_p99"] * 1e3,
-                    entry["colocated_p99"] * 1e3,
-                    entry["p99_inflation"],
+                    int(entry["n_requests"]),
+                    entry["mean_response"] * 1e3,
+                    entry["p99_response"] * 1e3,
+                    entry["p999_response"] * 1e3,
+                    entry["max_response"] * 1e3,
                 ])
-        print(noisy.render())
-    scrub_plan = None
-    if args.scrub_budget is not None:
-        scrub_plan = plan_fleet_scrub(
-            report.results, args.scrub_budget, args.scrub_work
-        )
-        print(
-            f"(fleet scrub: {scrub_plan.total_allocated:.1f} s of the "
-            f"{args.scrub_budget:.1f} s idle budget allocated across "
-            f"{len(scrub_plan.allocations)} drives, "
-            f"{scrub_plan.completion_fraction:.1%} of the scrub workload covered)"
-        )
-    if report.failures:
-        print()
-        print(_failure_table(report).render())
-    if report.resilience:
-        resilience = Table(
-            ["event", "count"],
-            title="resilience: what the crash/chaos machinery absorbed",
-        )
-        for name, count in sorted(report.resilience.items()):
-            resilience.add_row([name, count])
-        print(resilience.render())
-    if journal is not None:
-        print(
-            f"(journal {args.journal}: {journal.n_recorded} shard(s) recorded "
-            f"this run, {journal.n_completed} durable)"
-        )
-    if args.json:
-        payload = {
-            "schema_version": 1,
-            "fleet": {
-                "n_drives": args.drives,
-                "n_tenants": len(tenants),
-                "placement": args.placement,
-                "shard_size": args.shard_size,
-                "span": args.span,
-                "seed": args.seed,
-                "drive": drive.name,
-                "tenants": [
-                    {
-                        "tenant_id": t.tenant_id,
-                        "profile": t.workload_name,
-                        "rate": t.profile.rate if t.profile is not None else None,
-                    }
-                    for t in tenants
-                ],
-                "assignments": plan.placement.as_dict()["assignments"],
-            },
-            "jobs": [r.as_dict() for r in report.results],
-            "failures": [f.as_dict() for f in report.failures],
-            "n_jobs": report.n_jobs,
-            "workers": report.workers,
-            "retries": report.retries,
-            "wall_seconds": report.wall_seconds,
-            "fleet_summary": summary,
-        }
-        if interference_payload:
-            payload["interference"] = interference_payload
-        if scrub_plan is not None:
-            payload["scrub_plan"] = scrub_plan.as_dict()
-        if report.resilience:
-            payload["resilience"] = dict(report.resilience)
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(
-            f"wrote {len(report.results)} drive results "
-            f"({len(report.failures)} failures) to {args.json}"
-        )
-    return 1 if report.failures else 0
+            print(per_tenant.render())
+        extra = {"fleet_summary": summary}
+        if args.interference:
+            noisy = Table(
+                ["tenant", "isolated_p99_ms", "colocated_p99_ms", "p99_inflation"],
+                title="noisy-neighbor interference (co-located vs isolated tails)",
+                precision=3,
+            )
+            interference = {}
+            for r in report.results:
+                for tenant_id in sorted(r.tenant_interference or {}):
+                    entry = r.tenant_interference[tenant_id]
+                    interference[tenant_id] = entry
+                    noisy.add_row([
+                        tenant_id,
+                        entry["isolated_p99"] * 1e3,
+                        entry["colocated_p99"] * 1e3,
+                        entry["p99_inflation"],
+                    ])
+            print(noisy.render())
+            if interference:
+                extra["interference"] = interference
+        if args.scrub_budget is not None:
+            scrub_plan = plan_fleet_scrub(
+                report.results, args.scrub_budget, args.scrub_work
+            )
+            print(
+                f"(fleet scrub: {scrub_plan.total_allocated:.1f} s of the "
+                f"{args.scrub_budget:.1f} s idle budget allocated across "
+                f"{len(scrub_plan.allocations)} drives, "
+                f"{scrub_plan.completion_fraction:.1%} of the scrub workload covered)"
+            )
+            extra["scrub_plan"] = scrub_plan.as_dict()
+        return extra
+
+    json_head = {
+        "schema_version": 1,
+        "fleet": {
+            "n_drives": args.drives,
+            "n_tenants": len(tenants),
+            "placement": args.placement,
+            "shard_size": args.shard_size,
+            "span": args.span,
+            "seed": args.seed,
+            "drive": drive.name,
+            "tenants": [
+                {
+                    "tenant_id": t.tenant_id,
+                    "profile": t.workload_name,
+                    "rate": t.profile.rate if t.profile is not None else None,
+                }
+                for t in tenants
+            ],
+            "assignments": plan.placement.as_dict()["assignments"],
+        },
+    }
+    return _run_suite_command(
+        args, plan.jobs, render, json_head,
+        shard_size=args.shard_size, sort_keys=True,
+    )
 
 
 def _cmd_fleet_anomalies(args: argparse.Namespace) -> int:
@@ -981,6 +945,45 @@ def build_parser() -> argparse.ArgumentParser:
             "--trace-events", default=None, metavar="PATH",
             help="dump the event trace as JSONL to PATH (implies --obs trace)",
         )
+
+    def add_suite_flags(p: argparse.ArgumentParser) -> None:
+        """The flags of every command that runs a suite (run-suite, fleet)."""
+        p.add_argument(
+            "--workers", type=int, default=None,
+            help="worker processes (default: one per CPU; 1 = run inline)",
+        )
+        p.add_argument(
+            "--max-retries", type=int, default=0,
+            help="extra attempts per failing job (default 0)",
+        )
+        p.add_argument(
+            "--keep-going", action="store_true",
+            help="run every job even if some fail; report failures at the "
+            "end (default: stop submitting after the first failure)",
+        )
+        p.add_argument(
+            "--journal", default=None, metavar="PATH",
+            help="durable checkpoint journal (append-only JSONL WAL): every "
+            "completed dispatch shard is fsync'd so a crashed suite can "
+            "resume; resume requires the same shard size",
+        )
+        p.add_argument(
+            "--resume", action="store_true",
+            help="resume from an existing --journal: skip journaled shards "
+            "and merge their recorded results (requires --journal)",
+        )
+        p.add_argument(
+            "--chaos", default="off",
+            choices=["off", "light", "moderate", "heavy"],
+            help="inject seeded worker faults (kills/stalls/delays/shm "
+            "failures) while the suite runs (default: off; results stay "
+            "bit-identical)",
+        )
+        p.add_argument(
+            "--chaos-seed", type=int, default=0,
+            help="seed of the chaos policy's fault schedule (default 0)",
+        )
+        p.add_argument("--json", default=None, help="also write results as JSON")
 
     p = sub.add_parser("profiles", help="list built-in workload profiles")
     p.set_defaults(func=_cmd_profiles)
@@ -1109,42 +1112,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="root of the deterministic per-job seed stream",
     )
     p.add_argument("--queue-depth", type=int, default=None)
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: one per CPU; 1 = run inline)",
-    )
-    p.add_argument(
-        "--max-retries", type=int, default=0,
-        help="extra attempts per failing job (default 0)",
-    )
+    add_suite_flags(p)
     p.add_argument(
         "--job-timeout", type=float, default=None,
         help="per-job wall-clock budget in seconds (default: none)",
-    )
-    p.add_argument(
-        "--keep-going", action="store_true",
-        help="run every job even if some fail; report failures at the end "
-        "(default: stop submitting after the first failure)",
-    )
-    p.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="durable checkpoint journal (append-only JSONL WAL): every "
-        "completed job is fsync'd so a crashed suite can resume",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="resume from an existing --journal: skip journaled jobs and "
-        "merge their recorded results (requires --journal)",
-    )
-    p.add_argument(
-        "--chaos", default="off",
-        choices=["off", "light", "moderate", "heavy"],
-        help="inject seeded worker faults (kills/stalls/delays/shm "
-        "failures) while the suite runs (default: off)",
-    )
-    p.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed of the chaos policy's fault schedule (default 0)",
     )
     p.add_argument(
         "--suite-deadline", type=float, default=None,
@@ -1156,7 +1127,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="recycle any worker whose resident set exceeds this many MiB "
         "(default: no watchdog)",
     )
-    p.add_argument("--json", default=None, help="also write results as JSON")
     add_drive(p)
     add_faults(p)
     add_tier(p)
@@ -1228,19 +1198,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-rate", type=float, default=2000.0,
         help="clip tenant request rates above this req/s (default 2000)",
     )
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: one per CPU; 1 = run inline)",
-    )
-    p.add_argument(
-        "--max-retries", type=int, default=0,
-        help="extra attempts per failing job (default 0)",
-    )
-    p.add_argument(
-        "--keep-going", action="store_true",
-        help="run every drive even if some fail (default: stop after the "
-        "first failure)",
-    )
+    add_suite_flags(p)
     p.add_argument(
         "--interference", action="store_true",
         help="also replay each tenant alone and report noisy-neighbor "
@@ -1255,26 +1213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scrub-work", type=float, default=60.0, metavar="SECONDS",
         help="scrub workload per drive in seconds (default 60)",
     )
-    p.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="durable checkpoint journal over the dispatch shards; resume "
-        "requires the same --shard-size",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="resume from an existing --journal (skip recorded shards)",
-    )
-    p.add_argument(
-        "--chaos", default="off",
-        choices=["off", "light", "moderate", "heavy"],
-        help="inject seeded worker faults while the fleet runs "
-        "(default: off; results stay bit-identical)",
-    )
-    p.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed of the chaos policy's fault schedule (default 0)",
-    )
-    p.add_argument("--json", default=None, help="also write results as JSON")
     add_drive(p)
     add_faults(p)
     add_tier(p)

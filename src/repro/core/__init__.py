@@ -57,7 +57,7 @@ from repro.core.spatial_analysis import SpatialAnalysis, analyze_spatial, seek_d
 from repro.core.streaming import StreamingCharacterizer, characterize_events
 from repro.core.forecast import ForecastScore, flat_mean_forecast, score_forecast, seasonal_ewma_forecast, seasonal_naive_forecast
 from repro.core.anomaly import DriveAnomaly, inject_regime_change, population_anomalies, self_anomalies
-from repro.core.suite import run_suite, suite_table
+from repro.core.suite import run_profile_studies, suite_table
 from repro.core.backoff import BackoffPolicy, backoff_delays
 from repro.core.chaos import (
     ChaosPlan,
@@ -140,7 +140,7 @@ __all__ = [
     "self_anomalies",
     "population_anomalies",
     "inject_regime_change",
-    "run_suite",
+    "run_profile_studies",
     "suite_table",
     "BackoffPolicy",
     "backoff_delays",

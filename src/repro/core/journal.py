@@ -5,7 +5,8 @@ completed job to one crash makes long sweeps infeasible (the restart
 cost TraceTracker and the Alibaba-scale analyses both design around).
 :class:`SuiteJournal` is the repair: an append-only, fsync'd,
 schema-versioned JSONL write-ahead log of completed
-:class:`~repro.core.runner.JobResult`\\ s, keyed by a deterministic
+:class:`~repro.core.runner.ShardResult`\\ s (a suite's jobs are
+dispatched and checkpointed in shards), keyed by a deterministic
 **job-spec fingerprint**, that the
 :class:`~repro.core.runner.ExperimentRunner` writes as jobs resolve and
 reads back to *resume*: journaled jobs are skipped, their recorded
@@ -15,7 +16,7 @@ bit-identical to an uninterrupted run
 
 File layout — one JSON object per line:
 
-* line 1, the **header**: ``{"kind": "header", "schema_version": 1,
+* line 1, the **header**: ``{"kind": "header", "schema_version": 2,
   "suite_fingerprint": ..., "n_jobs": N, "fingerprints": [...]}``.
   The suite fingerprint pins the exact ordered job list, so a journal
   can never be resumed against a different suite.
@@ -50,7 +51,7 @@ import numpy as np
 from repro.errors import JournalError
 
 #: Bump on any backwards-incompatible change to the journal layout.
-JOURNAL_SCHEMA_VERSION = 1
+JOURNAL_SCHEMA_VERSION = 2
 
 #: Job fields whose values are volatile across runs and excluded from
 #: the fingerprint: a republished shared-memory segment gets a fresh

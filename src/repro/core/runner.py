@@ -21,10 +21,10 @@ produces, so the runner carries a resilience layer:
 
 * **Durable checkpoint/resume** — pass a
   :class:`~repro.core.journal.SuiteJournal` to :meth:`run_suite` and
-  every completed job is fsync'd to an append-only WAL; reopening the
-  journal with ``resume=True`` skips the journaled jobs and merges their
-  recorded results, canonically bit-identical to an uninterrupted run
-  (:meth:`SuiteReport.canonical_json`).
+  every completed shard of jobs is fsync'd to an append-only WAL;
+  reopening the journal with ``resume=True`` skips the journaled shards
+  and merges their recorded results, canonically bit-identical to an
+  uninterrupted run (:meth:`SuiteReport.canonical_json`).
 * **Crash/timeout resubmission** — a worker killed mid-job (OOM killer,
   ``SIGKILL``) or overrunning its per-job timeout is respawned and the
   job resubmitted, up to ``max_retries`` extra submissions, with the
@@ -50,7 +50,7 @@ import signal as signal_module
 import traceback as traceback_module
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from time import perf_counter, sleep
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -63,6 +63,7 @@ from repro.disk.faults import FaultProfile
 from repro.disk.simulator import DiskSimulator
 from repro.errors import (
     FleetError,
+    JournalError,
     ObservabilityError,
     ResourceGuardError,
     SimulationError,
@@ -849,8 +850,9 @@ def _dataclass_from_record(cls: type, record: Mapping[str, Any]) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Sharded execution: partition jobs into contiguous shards so one
-# dispatch (and one journal record) covers several drives of a fleet.
+# Shards: every suite is dispatched and journaled as contiguous slices of
+# its jobs, so one dispatch (and one journal record) can cover several
+# drives of a fleet.
 # ----------------------------------------------------------------------
 
 
@@ -876,7 +878,7 @@ class JobShard:
 
     Carries both the member jobs and their positions in the original
     job list, so shard outcomes flatten back into input order. Shards
-    are what a sharded suite journals: resuming requires the same
+    are what every suite journals: resuming requires the same
     ``shard_size`` (a different size changes the shard fingerprints and
     the journal refuses them).
     """
@@ -933,35 +935,6 @@ class ShardResult:
         return cls(indices=tuple(record["indices"]), outcomes=tuple(outcomes))
 
 
-class _ShardRunner:
-    """Picklable ``job_fn`` over :class:`JobShard`: run every member
-    through :func:`_execute_job` (bounded member-level retries, errors
-    captured as :class:`JobFailure`) and return a :class:`ShardResult`.
-    Module-level class, not a closure, so pooled workers can unpickle
-    it."""
-
-    __slots__ = ("job_fn", "max_retries", "backoff")
-
-    def __init__(
-        self,
-        job_fn: Callable[[ExperimentJob], JobResult],
-        max_retries: int = 0,
-        backoff: Optional[BackoffPolicy] = None,
-    ) -> None:
-        self.job_fn = job_fn
-        self.max_retries = max_retries
-        self.backoff = backoff
-
-    def __call__(self, shard: JobShard) -> ShardResult:
-        outcomes = []
-        for index, job in zip(shard.indices, shard.jobs):
-            _, outcome, _, _ = _execute_job(
-                self.job_fn, job, index, self.max_retries, self.backoff
-            )
-            outcomes.append(outcome)
-        return ShardResult(indices=shard.indices, outcomes=tuple(outcomes))
-
-
 def _rss_bytes() -> int:
     """Resident set size of this process, best effort (0 when unknown)."""
     try:
@@ -983,14 +956,13 @@ def _execute_job(
     index: int,
     max_retries: int,
     backoff: Optional[BackoffPolicy] = None,
-) -> Tuple[int, JobOutcome, int, float]:
+) -> Tuple[JobOutcome, int, float]:
     """Run one job with bounded retries, capturing any exception.
 
-    Returns ``(index, outcome, attempts, wall_seconds)``. Module-level so
-    worker processes can unpickle it; never raises (errors become
-    :class:`JobFailure`), so a bad job cannot poison the pool. Retries
-    are spaced by ``backoff`` (seeded exponential with jitter, keyed by
-    the job index so concurrent retriers decorrelate).
+    Returns ``(outcome, attempts, wall_seconds)``. Never raises (errors
+    become :class:`JobFailure`), so a bad job cannot poison the pool.
+    Retries are spaced by ``backoff`` (seeded exponential with jitter,
+    keyed by the job index so concurrent retriers decorrelate).
     """
     label = getattr(job, "label", f"job-{index}")
     start = perf_counter()
@@ -1016,8 +988,48 @@ def _execute_job(
                 attempts=attempt,
                 wall_seconds=wall,
             )
-            return index, failure, attempt, wall
-        return index, result, attempt, perf_counter() - start
+            return failure, attempt, wall
+        return result, attempt, perf_counter() - start
+
+
+#: One member's ``(outcome, attempts, wall_seconds)``, as a shard
+#: dispatch reports it.
+MemberOutcome = Tuple[JobOutcome, int, float]
+
+
+def _execute_shard(
+    job_fn: Callable[[ExperimentJob], JobResult],
+    shard: JobShard,
+    max_retries: int,
+    backoff: Optional[BackoffPolicy] = None,
+) -> List[MemberOutcome]:
+    """Run every member of a shard through :func:`_execute_job`, in
+    shard order. Module-level so worker processes can unpickle it."""
+    return [
+        _execute_job(job_fn, job, index, max_retries, backoff)
+        for index, job in zip(shard.indices, shard.jobs)
+    ]
+
+
+def _expand_failure(shard: JobShard, failure: JobFailure) -> List[MemberOutcome]:
+    """A whole-shard failure (worker crash, timeout, transport error)
+    copied onto every member, so accounting stays per job."""
+    return [
+        (
+            replace(
+                failure,
+                label=str(getattr(job, "label", f"job-{index}")),
+                index=index,
+            ),
+            failure.attempts,
+            failure.wall_seconds,
+        )
+        for index, job in zip(shard.indices, shard.jobs)
+    ]
+
+
+def _any_failed(members: Sequence[MemberOutcome]) -> bool:
+    return any(isinstance(outcome, JobFailure) for outcome, _, _ in members)
 
 
 def _apply_worker_plan(worker_plan: Optional[Tuple[float, int]]) -> None:
@@ -1035,17 +1047,17 @@ def _apply_worker_plan(worker_plan: Optional[Tuple[float, int]]) -> None:
 
 
 def _pool_worker(conn) -> None:
-    """Loop of one pooled worker process: receive ``(job_fn, job, index,
-    max_retries, backoff, chaos_plan)`` messages, run them through
-    :func:`_execute_job`, send the outcome back. A ``None`` message (or
-    a closed pipe) shuts the worker down. Module-level so the ``spawn``
-    start method can import it.
+    """Loop of one pooled worker process: receive ``(job_fn, shard,
+    max_retries, backoff, chaos_plan)`` messages, run the shard through
+    :func:`_execute_shard`, send the member outcomes back. A ``None``
+    message (or a closed pipe) shuts the worker down. Module-level so the
+    ``spawn`` start method can import it.
 
-    Replies are ``(index, outcome, attempts, wall, rss_bytes)`` — the
-    RSS reading feeds the parent-side memory watchdog. If an outcome
-    cannot travel back (unpicklable result), a :class:`JobFailure`
-    describing the transport error is sent instead — the parent never
-    hangs waiting for a reply.
+    Replies are ``(members, rss_bytes)`` — the RSS reading feeds the
+    parent-side memory watchdog. If the outcomes cannot travel back
+    (unpicklable result), per-member :class:`JobFailure`\\ s describing
+    the transport error are sent instead — the parent never hangs
+    waiting for a reply.
     """
     try:
         while True:
@@ -1055,25 +1067,22 @@ def _pool_worker(conn) -> None:
                 break
             if message is None:
                 break
-            job_fn, job, index, max_retries, backoff, worker_plan = message
+            job_fn, shard, max_retries, backoff, worker_plan = message
             _apply_worker_plan(worker_plan)
-            index, outcome, n_attempts, wall = _execute_job(
-                job_fn, job, index, max_retries, backoff
-            )
+            members = _execute_shard(job_fn, shard, max_retries, backoff)
             try:
-                conn.send((index, outcome, n_attempts, wall, _rss_bytes()))
+                conn.send((members, _rss_bytes()))
             except Exception as exc:  # result transport failure
-                label = getattr(job, "label", f"job-{index}")
                 failure = JobFailure(
-                    label=str(label),
-                    index=index,
+                    label=shard.label,
+                    index=shard.indices[0],
                     error_type=type(exc).__name__,
                     message=f"job result could not be sent back: {exc}",
                     traceback=traceback_module.format_exc(),
-                    attempts=n_attempts,
-                    wall_seconds=wall,
+                    attempts=max(a for _, a, _ in members),
+                    wall_seconds=sum(w for _, _, w in members),
                 )
-                conn.send((index, failure, n_attempts, wall, _rss_bytes()))
+                conn.send((_expand_failure(shard, failure), _rss_bytes()))
     finally:
         conn.close()
 
@@ -1164,7 +1173,9 @@ class ExperimentRunner:
         one submission. In pooled mode an overrunning job's worker is
         terminated on the spot and replaced with a fresh one, and the
         job is resubmitted while retry budget remains, else reported as
-        a :class:`JobFailure` with ``error_type="TimeoutError"``. Inline
+        a :class:`JobFailure` with ``error_type="TimeoutError"``; a
+        pooled submission is one shard, so with ``shard_size > 1`` the
+        budget covers the whole shard. Inline
         mode cannot preempt a running job, so the timeout is applied
         after the fact: a job whose wall time exceeded the budget is
         reported as timed out even if it eventually returned.
@@ -1178,8 +1189,10 @@ class ExperimentRunner:
         injects the policy's seeded kills/stalls/delays/attach-failures
         into its own pool while the suite runs. Chaos-injected kills are
         budget-exempt (resubmitted without consuming ``max_retries``),
-        capped at the policy's ``max_faults_per_job``. Inline mode
-        applies only the worker-side legs (delays, attach failures).
+        capped at the policy's ``max_faults_per_job``. They still wait
+        out the normal ``retry_backoff`` before resubmission, because
+        they stand in for real crashes. Inline mode applies only the
+        worker-side legs (delays, attach failures).
     suite_deadline:
         Optional whole-suite wall-clock budget in seconds. When it
         expires the runner stops submitting, abandons in-flight jobs and
@@ -1281,31 +1294,58 @@ class ExperimentRunner:
         progress: Optional[ProgressCallback] = None,
         job_fn: Optional[Callable[[ExperimentJob], JobResult]] = None,
         journal=None,
-        result_decoder: Optional[Callable[[Mapping[str, Any]], Any]] = None,
+        shard_size: int = 1,
     ) -> SuiteReport:
         """Execute the jobs and report everything that happened.
+
+        The runner's one execution path: the jobs are sliced into
+        contiguous :class:`JobShard` units of ``shard_size``
+        (:func:`shard_jobs`) and each shard is dispatched once, inline or
+        to a pooled worker that runs every member through
+        :func:`_execute_job`. Member outcomes flatten back into input
+        order; a whole-shard crash or timeout becomes one
+        :class:`JobFailure` per member. ``shard_size=1`` dispatches job
+        by job; the fleet passes larger shards so one zero-pickle
+        dispatch (and one journal record) covers several drives.
+
+        **Determinism guarantee** (normative, asserted by tests and
+        ``BENCH_fleet.json``): every member job is simulated exactly
+        once with its own seed, and :meth:`SuiteReport.canonical_json`
+        is byte-identical whatever the worker count or ``shard_size`` —
+        only wall-clock and environment fields may differ.
 
         ``job_fn`` defaults to :func:`run_job`; it is a seam for tests
         and for suites whose unit of work is not a disk simulation.
 
         ``journal`` is an optional
-        :class:`~repro.core.journal.SuiteJournal` opened over these
-        jobs: jobs it already records are skipped (their journaled
-        results merged in place, counted in
+        :class:`~repro.core.journal.SuiteJournal` holding one entry per
+        shard: open it over ``shard_jobs(jobs, shard_size)`` (at
+        ``shard_size=1`` the jobs themselves also do). A journal of any
+        other length raises :class:`~repro.errors.JournalError` before
+        any job runs. Journaled shards are skipped (their recorded
+        :class:`ShardResult` merged in place, counted per shard in
         ``resilience["journal.resumed_jobs"]``), and each newly
-        completed job is durably appended before the suite moves on.
+        completed shard whose members all succeeded is durably appended
+        before the suite moves on; shards with failed members are re-run
+        on resume. Resuming with a different ``shard_size`` changes the
+        shard fingerprints and the journal refuses them, so
+        ``shard_size`` must never be derived from machine properties
+        (CPU count), or journals stop being portable across hosts.
 
-        ``result_decoder`` rebuilds a journaled record into its outcome
-        object on resume (default: a :class:`JobResult`); sharded runs
-        pass :meth:`ShardResult.from_dict`.
+        Under ``on_error="raise"`` fail-fast stops submitting at shard
+        granularity: with ``shard_size=k`` the rest of a shard still
+        runs after one of its members fails.
         """
         jobs = list(jobs)
         fn = job_fn if job_fn is not None else run_job
-        decode = (
-            result_decoder
-            if result_decoder is not None
-            else lambda record: _dataclass_from_record(JobResult, record)
-        )
+        shards = shard_jobs(jobs, shard_size)
+        if journal is not None and len(journal.fingerprints) != len(shards):
+            raise JournalError(
+                f"journal {journal.path} has {len(journal.fingerprints)} "
+                f"entries, but the suite dispatches {len(shards)} shard(s) "
+                f"of shard_size={shard_size}; open the journal over "
+                "shard_jobs(jobs, shard_size)"
+            )
         start = perf_counter()
         n = len(jobs)
         counters = MetricsRegistry()
@@ -1313,49 +1353,50 @@ class ExperimentRunner:
         attempts = [0] * n
         done = 0
 
-        # Resume: merge journaled results before any execution.
+        def place(k: int, members: Sequence[MemberOutcome]) -> None:
+            nonlocal done
+            for index, (outcome, n_attempts, _) in zip(shards[k].indices, members):
+                outcomes[index] = outcome
+                attempts[index] = n_attempts
+                done += 1
+                if progress is not None:
+                    progress(done, n, outcome)
+
+        def resolve(k: int, members: Sequence[MemberOutcome]) -> None:
+            if journal is not None:
+                record = ShardResult(
+                    indices=shards[k].indices,
+                    outcomes=tuple(outcome for outcome, _, _ in members),
+                )
+                if record.ok:
+                    journal.record(k, record.as_dict())
+                    counters.counter("journal.recorded").inc()
+            place(k, members)
+
+        # Resume: merge journaled shards before any execution.
+        resumed: Dict[int, Any] = {}
         if journal is not None:
             resumed = journal.completed_results()
-            for index in sorted(resumed):
-                outcomes[index] = decode(resumed[index])
+            for k in sorted(resumed):
+                record = ShardResult.from_dict(resumed[k])
+                place(k, [(outcome, 0, 0.0) for outcome in record.outcomes])
             if resumed:
                 counters.counter("journal.resumed_jobs").inc(len(resumed))
             if getattr(journal, "recovered_torn_line", False):
                 counters.counter("journal.torn_records_dropped").inc()
-            for index in sorted(resumed):
-                done += 1
-                if progress is not None:
-                    progress(done, n, outcomes[index])
 
-        pending = [i for i in range(n) if outcomes[i] is None]
+        pending = [k for k in range(len(shards)) if k not in resumed]
         workers = self._worker_count(len(pending)) if pending else 1
         deadline_at = (
             start + self.suite_deadline if self.suite_deadline is not None else None
         )
-
-        def resolve(index: int, outcome: JobOutcome, n_attempts: int) -> None:
-            nonlocal done
-            outcomes[index] = outcome
-            attempts[index] = n_attempts
-            done += 1
-            if (
-                journal is not None
-                and not isinstance(outcome, JobFailure)
-                and getattr(outcome, "ok", True)
-            ):
-                journal.record(index, outcome.as_dict())
-                counters.counter("journal.recorded").inc()
-            if progress is not None:
-                progress(done, n, outcome)
-
         if pending:
             if workers == 1:
-                self._run_inline(jobs, fn, pending, resolve, counters, deadline_at)
+                self._run_inline(fn, shards, pending, resolve, counters, deadline_at)
             else:
                 self._run_pool(
-                    jobs, fn, pending, resolve, counters, deadline_at, workers
+                    fn, shards, pending, resolve, counters, deadline_at, workers
                 )
-        deadline_exceeded = counters.counters.get("suite.deadline_hits") is not None
         resilience = {
             name: counter.value
             for name, counter in sorted(counters.counters.items())
@@ -1372,7 +1413,7 @@ class ExperimentRunner:
             workers=workers,
             retries=sum(max(0, a - 1) for a in attempts),
             wall_seconds=perf_counter() - start,
-            deadline_exceeded=deadline_exceeded,
+            deadline_exceeded="suite.deadline_hits" in counters.counters,
             resilience=resilience or None,
         )
         if report.failures and self.on_error == "raise":
@@ -1392,120 +1433,16 @@ class ExperimentRunner:
         job_fn: Optional[Callable[[ExperimentJob], JobResult]] = None,
         journal=None,
     ) -> SuiteReport:
-        """Execute the jobs in contiguous shards of ``shard_size``.
-
-        The sharded mode of the fleet subsystem: jobs (one per fleet
-        drive) are sliced into :class:`JobShard` units, the shards are
-        fanned across the worker pool (one zero-pickle dispatch per
-        shard instead of per job), and the shard outcomes are flattened
-        back into input order and merged into one ordinary
-        :class:`SuiteReport`.
-
-        **Determinism guarantee** (normative, asserted by tests and
-        ``BENCH_fleet.json``): every member job is simulated exactly
-        once with its own seed, and the merged report's
-        :meth:`SuiteReport.canonical_json` is byte-identical whatever
-        the worker count or ``shard_size`` — only wall-clock and
-        environment fields may differ.
-
-        ``journal`` must have been opened over ``shard_jobs(jobs,
-        shard_size)`` (the shard is the checkpoint unit); resuming with
-        a different ``shard_size`` changes the fingerprints and the
-        journal refuses them. Shards with failed members are not
-        journaled, so a resume re-runs them. ``shard_size`` must never
-        be derived from machine properties (CPU count), or journals
-        stop being portable across hosts.
-        """
-        jobs = list(jobs)
-        n = len(jobs)
-        start = perf_counter()
-        shards = shard_jobs(jobs, shard_size)
-        fn = job_fn if job_fn is not None else run_job
-        inner = ExperimentRunner(
-            workers=self.workers,
-            max_retries=self.max_retries,
-            job_timeout=self.job_timeout,
-            on_error="collect",
-            chaos=self.chaos,
-            suite_deadline=self.suite_deadline,
-            rss_limit_mb=self.rss_limit_mb,
-            retry_backoff=self.retry_backoff,
+        """:meth:`run_suite` with ``shard_size`` defaulting to 4 (kept for
+        callers of the former sharded mode)."""
+        return self.run_suite(
+            jobs, progress=progress, job_fn=job_fn, journal=journal,
+            shard_size=shard_size,
         )
-
-        shard_progress: Optional[ProgressCallback] = None
-        if progress is not None:
-            member_done = [0]
-
-            def shard_progress(done: int, total: int, outcome: Any) -> None:
-                members = (
-                    outcome.outcomes
-                    if isinstance(outcome, ShardResult)
-                    else (outcome,)
-                )
-                for member in members:
-                    member_done[0] += 1
-                    progress(member_done[0], n, member)
-
-        shard_report = inner.run_suite(
-            shards,
-            progress=shard_progress,
-            job_fn=_ShardRunner(fn, self.max_retries, self.retry_backoff),
-            journal=journal,
-            result_decoder=ShardResult.from_dict,
-        )
-
-        outcomes: List[Optional[JobOutcome]] = [None] * n
-        for shard_result in shard_report.results:
-            for index, outcome in zip(shard_result.indices, shard_result.outcomes):
-                outcomes[index] = outcome
-        for failure in shard_report.failures:
-            # The whole shard failed before producing member outcomes
-            # (worker crash, timeout, unpicklable dispatch): expand to
-            # one per-member failure so accounting stays per job.
-            for index in shards[failure.index].indices:
-                outcomes[index] = JobFailure(
-                    label=getattr(jobs[index], "label", f"job-{index}"),
-                    index=index,
-                    error_type=failure.error_type,
-                    message=failure.message,
-                    traceback=failure.traceback,
-                    attempts=failure.attempts,
-                    wall_seconds=failure.wall_seconds,
-                )
-        report = SuiteReport(
-            results=tuple(o for o in outcomes if isinstance(o, JobResult)),
-            failures=tuple(o for o in outcomes if isinstance(o, JobFailure)),
-            n_jobs=n,
-            workers=shard_report.workers,
-            retries=shard_report.retries,
-            wall_seconds=perf_counter() - start,
-            deadline_exceeded=shard_report.deadline_exceeded,
-            resilience=shard_report.resilience,
-        )
-        if report.failures and self.on_error == "raise":
-            first = report.failures[0]
-            raise SuiteError(
-                f"suite job {first.label!r} failed after {first.attempts} "
-                f"attempt(s): {first.error_type}: {first.message}",
-                report=report,
-            )
-        return report
 
     # ------------------------------------------------------------------
     # Execution strategies
     # ------------------------------------------------------------------
-
-    def _apply_timeout(
-        self, outcome: JobOutcome, index: int, wall: float
-    ) -> JobOutcome:
-        """Post-hoc timeout for inline mode (cannot preempt in-process)."""
-        if (
-            self.job_timeout is None
-            or wall <= self.job_timeout
-            or isinstance(outcome, JobFailure)
-        ):
-            return outcome
-        return self._timeout_failure(outcome.label, index, wall)
 
     def _timeout_failure(
         self, label: str, index: int, wall: float, attempts: int = 1
@@ -1525,42 +1462,49 @@ class ExperimentRunner:
 
     def _run_inline(
         self,
-        jobs: List[ExperimentJob],
         fn: Callable[[ExperimentJob], JobResult],
+        shards: List[JobShard],
         pending: List[int],
-        resolve: Callable[[int, JobOutcome, int], None],
+        resolve: Callable[[int, Sequence[MemberOutcome]], None],
         counters: MetricsRegistry,
         deadline_at: Optional[float],
     ) -> None:
-        for i in pending:
+        for k in pending:
             if deadline_at is not None and perf_counter() >= deadline_at:
                 counters.counter("suite.deadline_hits").inc()
                 return
             if self.chaos is not None:
                 # Inline mode has no worker process to kill or stall;
                 # only the worker-side chaos legs apply.
-                plan = self.chaos.plan(i, 1)
+                plan = self.chaos.plan(k, 1)
                 if plan.delay > 0:
                     counters.counter("chaos.delays").inc()
                 if plan.shm_failures > 0:
                     counters.counter("chaos.shm_failures").inc()
                 _apply_worker_plan((plan.delay, plan.shm_failures))
-            _, outcome, n_attempts, wall = _execute_job(
-                fn, jobs[i], i, self.max_retries, self.retry_backoff
-            )
-            timed = self._apply_timeout(outcome, i, wall)
-            if isinstance(timed, JobFailure) and timed.error_type == "TimeoutError":
-                counters.counter("suite.timeouts").inc()
-            resolve(i, timed, n_attempts)
-            if isinstance(timed, JobFailure) and self.on_error == "raise":
+            members = _execute_shard(fn, shards[k], self.max_retries, self.retry_backoff)
+            for j, index in enumerate(shards[k].indices):
+                # Inline mode cannot preempt a running job, so the
+                # timeout is applied after the fact, member by member.
+                outcome, n_attempts, wall = members[j]
+                if (
+                    self.job_timeout is not None
+                    and wall > self.job_timeout
+                    and not isinstance(outcome, JobFailure)
+                ):
+                    counters.counter("suite.timeouts").inc()
+                    timed_out = self._timeout_failure(outcome.label, index, wall)
+                    members[j] = (timed_out, n_attempts, wall)
+            resolve(k, members)
+            if self.on_error == "raise" and _any_failed(members):
                 return
 
     def _run_pool(
         self,
-        jobs: List[ExperimentJob],
         fn: Callable[[ExperimentJob], JobResult],
+        shards: List[JobShard],
         pending: List[int],
-        resolve: Callable[[int, JobOutcome, int], None],
+        resolve: Callable[[int, Sequence[MemberOutcome]], None],
         counters: MetricsRegistry,
         deadline_at: Optional[float],
         workers: int,
@@ -1571,7 +1515,7 @@ class ExperimentRunner:
         )
         queue = deque(pending)
         retry_at: Dict[int, float] = {}       # earliest resubmission time
-        submissions: Dict[int, int] = {}      # pool submissions per job
+        submissions: Dict[int, int] = {}      # pool submissions per shard
         prior_attempts: Dict[int, int] = {}   # attempts spent on dead submissions
         hard_faults: Dict[int, int] = {}      # crash/timeouts charged to budget
         chaos_faults: Dict[int, int] = {}     # budget-exempt injected faults
@@ -1586,46 +1530,49 @@ class ExperimentRunner:
             child_conn.close()
             return _PoolWorker(process, parent_conn)
 
-        def crash_failure(index: int, exitcode: Any, wall: float) -> JobFailure:
-            return JobFailure(
-                label=getattr(jobs[index], "label", f"job-{index}"),
-                index=index,
-                error_type="WorkerCrashed",
-                message=(
-                    f"worker process exited with code {exitcode} mid-job "
-                    "(killed or crashed without raising)"
+        def crash_failure(k: int, exitcode: Any, wall: float) -> List[MemberOutcome]:
+            return _expand_failure(
+                shards[k],
+                JobFailure(
+                    label=shards[k].label,
+                    index=k,
+                    error_type="WorkerCrashed",
+                    message=(
+                        f"worker process exited with code {exitcode} mid-job "
+                        "(killed or crashed without raising)"
+                    ),
+                    traceback="",
+                    attempts=prior_attempts.get(k, 0) + 1,
+                    wall_seconds=wall,
                 ),
-                traceback="",
-                attempts=prior_attempts.get(index, 0) + 1,
-                wall_seconds=wall,
             )
 
-        def requeue(index: int, entry: "_BusyJob", now: float) -> bool:
-            """Resubmit a crashed/timed-out job if budget allows.
+        def requeue(k: int, entry: "_BusyJob", now: float) -> bool:
+            """Resubmit a crashed/timed-out shard if budget allows.
 
             Chaos-injected kills are budget-exempt up to the policy's
             per-job fault cap; real crashes and timeouts consume the
-            normal ``max_retries`` budget. Returns True when the job was
-            requeued."""
+            normal ``max_retries`` budget. Returns True when the shard
+            was requeued."""
             injected = entry.chaos_killed
             if injected:
-                chaos_faults[index] = chaos_faults.get(index, 0) + 1
-                if chaos_faults[index] > self.chaos.max_faults_per_job:
+                chaos_faults[k] = chaos_faults.get(k, 0) + 1
+                if chaos_faults[k] > self.chaos.max_faults_per_job:
                     injected = False  # cap reached: charge the budget
             if not injected:
-                hard_faults[index] = hard_faults.get(index, 0) + 1
-                if hard_faults[index] > self.max_retries:
+                hard_faults[k] = hard_faults.get(k, 0) + 1
+                if hard_faults[k] > self.max_retries:
                     return False
-            prior_attempts[index] = prior_attempts.get(index, 0) + 1
+            prior_attempts[k] = prior_attempts.get(k, 0) + 1
             counters.counter("suite.resubmissions").inc()
-            retry_at[index] = now + self.retry_backoff.delay(
-                submissions.get(index, 1), key=index
+            retry_at[k] = now + self.retry_backoff.delay(
+                submissions.get(k, 1), key=k
             )
-            queue.append(index)
+            queue.append(k)
             return True
 
         idle: List[_PoolWorker] = [spawn() for _ in range(workers)]
-        # One outstanding job per worker so a submitted job starts
+        # One outstanding shard per worker so a submitted shard starts
         # immediately and the per-job timeout clock measures execution,
         # not queueing.
         busy: Dict[int, _BusyJob] = {}
@@ -1641,22 +1588,22 @@ class ExperimentRunner:
                         entry.worker.reap()
                     busy.clear()
                     return
-                resolved: List[Tuple[int, JobOutcome, int]] = []
+                resolved: List[Tuple[int, List[MemberOutcome]]] = []
                 while idle and queue and not stop_submitting:
-                    # First queued job whose backoff delay has elapsed.
+                    # First queued shard whose backoff delay has elapsed.
                     for _ in range(len(queue)):
-                        i = queue.popleft()
-                        if retry_at.get(i, 0.0) <= now:
+                        k = queue.popleft()
+                        if retry_at.get(k, 0.0) <= now:
                             break
-                        queue.append(i)
+                        queue.append(k)
                     else:
                         break
                     worker = idle.pop()
-                    submissions[i] = submissions.get(i, 0) + 1
+                    submissions[k] = submissions.get(k, 0) + 1
                     plan: Optional[ChaosPlan] = None
                     worker_plan = None
                     if self.chaos is not None:
-                        plan = self.chaos.plan(i, submissions[i])
+                        plan = self.chaos.plan(k, submissions[k])
                         if not plan.any:
                             plan = None
                         elif plan.delay > 0 or plan.shm_failures > 0:
@@ -1666,8 +1613,8 @@ class ExperimentRunner:
                             if plan.shm_failures > 0:
                                 counters.counter("chaos.shm_failures").inc()
                     message = (
-                        fn, jobs[i], i, self.max_retries,
-                        self.retry_backoff, worker_plan,
+                        fn, shards[k], self.max_retries, self.retry_backoff,
+                        worker_plan,
                     )
                     try:
                         worker.conn.send(message)
@@ -1682,26 +1629,21 @@ class ExperimentRunner:
                             worker.conn.send(message)
                         except Exception as exc:
                             idle.append(worker)
-                            resolved.append(
-                                (
-                                    i,
-                                    JobFailure(
-                                        label=getattr(jobs[i], "label", f"job-{i}"),
-                                        index=i,
-                                        error_type=type(exc).__name__,
-                                        message=f"job could not be sent to a worker: {exc}",
-                                        traceback=traceback_module.format_exc(),
-                                        attempts=1,
-                                        wall_seconds=0.0,
-                                    ),
-                                    1,
-                                )
+                            failure = JobFailure(
+                                label=shards[k].label,
+                                index=k,
+                                error_type=type(exc).__name__,
+                                message=f"job could not be sent to a worker: {exc}",
+                                traceback=traceback_module.format_exc(),
+                                attempts=1,
+                                wall_seconds=0.0,
                             )
+                            resolved.append((k, _expand_failure(shards[k], failure)))
                             continue
-                    busy[i] = _BusyJob(worker, perf_counter(), plan)
+                    busy[k] = _BusyJob(worker, perf_counter(), plan)
                 now = perf_counter()
                 # Parent-side chaos legs: scheduled kills and stalls.
-                for i, entry in busy.items():
+                for entry in busy.values():
                     plan = entry.plan
                     if plan is None:
                         continue
@@ -1727,10 +1669,9 @@ class ExperimentRunner:
                     if entry.resume_at is not None and now >= entry.resume_at:
                         entry.worker.signal(signal_module.SIGCONT)
                         entry.resume_at = None
-                for i, entry in list(busy.items()):
+                for k, entry in list(busy.items()):
                     worker = entry.worker
-                    outcome: Optional[JobOutcome] = None
-                    n_attempts = 1
+                    members: Optional[List[MemberOutcome]] = None
                     rss = 0
                     # Check the pipe before the exit code: a worker that
                     # finished its send and then died still delivered a
@@ -1746,23 +1687,23 @@ class ExperimentRunner:
                             worker.signal(signal_module.SIGCONT)
                             entry.resume_at = None
                         try:
-                            _, outcome, n_attempts, _, rss = worker.conn.recv()
+                            members, rss = worker.conn.recv()
                         except (EOFError, OSError):
                             counters.counter("suite.worker_crashes").inc()
-                            if requeue(i, entry, now):
-                                outcome = None
-                                del busy[i]
+                            if requeue(k, entry, now):
+                                del busy[k]
                             else:
-                                outcome = crash_failure(
-                                    i, worker.process.exitcode, now - entry.submitted
+                                members = crash_failure(
+                                    k, worker.process.exitcode, now - entry.submitted
                                 )
                             worker.kill()
                             worker.reap()
                             idle.append(spawn())
-                            if outcome is None:
+                            if members is None:
                                 continue
                         else:
-                            n_attempts += prior_attempts.get(i, 0)
+                            prior = prior_attempts.get(k, 0)
+                            members = [(o, a + prior, w) for o, a, w in members]
                             idle.append(worker)
                             if (
                                 self.rss_limit_mb is not None
@@ -1779,11 +1720,11 @@ class ExperimentRunner:
                         counters.counter("suite.worker_crashes").inc()
                         worker.reap()
                         idle.append(spawn())
-                        if requeue(i, entry, now):
-                            del busy[i]
+                        if requeue(k, entry, now):
+                            del busy[k]
                             continue
-                        outcome = crash_failure(
-                            i, worker.process.exitcode, now - entry.submitted
+                        members = crash_failure(
+                            k, worker.process.exitcode, now - entry.submitted
                         )
                     elif (
                         self.job_timeout is not None
@@ -1793,20 +1734,22 @@ class ExperimentRunner:
                         worker.kill()
                         worker.reap()
                         idle.append(spawn())
-                        if requeue(i, entry, now):
-                            del busy[i]
+                        if requeue(k, entry, now):
+                            del busy[k]
                             continue
-                        label = getattr(jobs[i], "label", f"job-{i}")
-                        outcome = self._timeout_failure(
-                            label, i, now - entry.submitted,
-                            attempts=prior_attempts.get(i, 0) + 1,
+                        members = _expand_failure(
+                            shards[k],
+                            self._timeout_failure(
+                                shards[k].label, k, now - entry.submitted,
+                                attempts=prior_attempts.get(k, 0) + 1,
+                            ),
                         )
-                    if outcome is not None:
-                        del busy[i]
-                        resolved.append((i, outcome, n_attempts))
-                for i, outcome, n_attempts in resolved:
-                    resolve(i, outcome, n_attempts)
-                    if isinstance(outcome, JobFailure) and self.on_error == "raise":
+                    if members is not None:
+                        del busy[k]
+                        resolved.append((k, members))
+                for k, members in resolved:
+                    resolve(k, members)
+                    if self.on_error == "raise" and _any_failed(members):
                         stop_submitting = True
                 if not resolved and busy:
                     sleep(self.poll_interval)

@@ -1,9 +1,9 @@
 """The suite runner: characterize a whole profile set in one call.
 
 Reproducing the paper means running the same analyses over every
-workload and presenting them side by side. :func:`run_suite` does the
-loop; :func:`suite_table` renders the comparative overview (the shape of
-the paper's summary tables) from the results.
+workload and presenting them side by side. :func:`run_profile_studies`
+does the loop; :func:`suite_table` renders the comparative overview (the
+shape of the paper's summary tables) from the results.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.errors import AnalysisError
 from repro.synth.profiles import available_profiles
 
 
-def run_suite(
+def run_profile_studies(
     drive: DriveSpec,
     profiles: Optional[Sequence[str]] = None,
     span: float = 120.0,

@@ -4,9 +4,10 @@
 :func:`build_fleet_plan` turns it into concrete
 :class:`~repro.core.runner.ExperimentJob` rows (one per non-empty
 drive, each carrying its tenant set and a per-drive seed spawned from
-the fleet seed) and :func:`run_fleet` executes them through the sharded
-runner mode so drives are partitioned across workers and merged into
-one :class:`~repro.core.runner.SuiteReport`.
+the fleet seed) and :func:`run_fleet` executes them through
+:meth:`~repro.core.runner.ExperimentRunner.run_suite` in shards of
+drives, partitioned across workers and merged into one
+:class:`~repro.core.runner.SuiteReport`.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def run_fleet(
     journal: Optional[Any] = None,
     progress: Optional[Any] = None,
 ) -> SuiteReport:
-    """Run a fleet spec through the sharded runner and merge the report."""
+    """Run a fleet spec as one suite sharded by drive and merge the report."""
     plan = build_fleet_plan(spec)
     runner = ExperimentRunner(
         workers=workers,
@@ -112,6 +113,6 @@ def run_fleet(
         on_error=on_error,
         chaos=chaos,
     )
-    return runner.run_sharded(
-        plan.jobs, shard_size=shard_size, journal=journal, progress=progress
+    return runner.run_suite(
+        plan.jobs, progress=progress, journal=journal, shard_size=shard_size
     )

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.core.backoff import BackoffPolicy
 from repro.core.chaos import (
     ChaosPlan,
     ChaosPolicy,
@@ -150,7 +151,10 @@ class TestSuiteUnderChaos:
         # seed=1 deterministically kills both jobs' first submissions.
         chaos = ChaosPolicy(seed=1, kill_prob=0.8, kill_delay=0.02)
         report = ExperimentRunner(
-            workers=2, max_retries=0, chaos=chaos
+            workers=2, max_retries=0, chaos=chaos,
+            retry_backoff=BackoffPolicy(
+                base=0.0, factor=1.0, jitter=0.0, max_delay=0.0, seed=0
+            ),
         ).run_suite(jobs, job_fn=slow_job_fn)
         assert report.ok
         assert report.resilience.get("chaos.kills", 0) >= 1

@@ -185,3 +185,32 @@ def test_parser_requires_subcommand():
 def test_parser_rejects_unknown_drive():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["study", "--profile", "web", "--drive", "floppy"])
+
+
+def test_suite_commands_share_suite_flags():
+    import argparse
+
+    parser = build_parser()
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    shared = (
+        "--workers", "--max-retries", "--keep-going", "--journal", "--resume",
+        "--chaos", "--chaos-seed", "--json",
+    )
+
+    def flags(command):
+        actions = {
+            option: action
+            for action in subparsers.choices[command]._actions
+            for option in action.option_strings
+        }
+        return {
+            flag: (
+                actions[flag].dest, actions[flag].default,
+                actions[flag].type, actions[flag].choices,
+            )
+            for flag in shared
+        }
+
+    assert flags("run-suite") == flags("fleet")

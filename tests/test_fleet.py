@@ -4,7 +4,9 @@ QoS accounting, sharded execution, and the fleet scrub budget."""
 import numpy as np
 import pytest
 
+from repro.core.backoff import BackoffPolicy
 from repro.core.background import BackgroundTask, run_in_idle
+from repro.core.journal import SuiteJournal
 from repro.core.runner import (
     ExperimentJob,
     ExperimentRunner,
@@ -15,7 +17,7 @@ from repro.core.runner import (
     run_job,
     shard_jobs,
 )
-from repro.errors import AnalysisError, FleetError
+from repro.errors import AnalysisError, FleetError, JournalError, SuiteError
 from repro.fleet import (
     FleetSpec,
     TenantLoad,
@@ -248,6 +250,79 @@ class TestSharding:
         assert len(report.failures) == len(jobs)
         assert [f.index for f in report.failures] == list(range(len(jobs)))
         assert all(f.error_type == "ValueError" for f in report.failures)
+
+    def test_sharded_retries_are_counted(self, tiny_spec):
+        # Every job fails on its first attempt and succeeds on the retry;
+        # the shard size must not change how many retries are reported.
+        jobs = experiment_matrix(
+            profiles=[get_profile("web")], drive=tiny_spec,
+            seeds_per_combo=4, span=1.0,
+        )
+
+        def runner():
+            return ExperimentRunner(
+                workers=1, max_retries=1,
+                retry_backoff=BackoffPolicy(
+                    base=0.0, factor=1.0, jitter=0.0, max_delay=0.0, seed=0
+                ),
+            )
+
+        def fails_once():
+            seen = set()
+
+            def job_fn(job):
+                if job.seed not in seen:
+                    seen.add(job.seed)
+                    raise ValueError("transient")
+                return run_job(job)
+
+            return job_fn
+
+        plain = runner().run_suite(jobs, job_fn=fails_once())
+        sharded = runner().run_sharded(jobs, shard_size=2, job_fn=fails_once())
+        assert plain.retries == len(jobs)
+        assert sharded.retries == plain.retries
+
+    def test_sharded_fail_fast_stops_like_plain(self, tiny_spec):
+        jobs = experiment_matrix(
+            profiles=[get_profile("web")], drive=tiny_spec,
+            seeds_per_combo=4, span=1.0,
+        )
+
+        def first_job_raises(job):
+            if job.seed == jobs[0].seed:
+                raise ValueError("boom")
+            return run_job(job)
+
+        with pytest.raises(SuiteError) as plain:
+            ExperimentRunner(workers=1).run_suite(jobs, job_fn=first_job_raises)
+        with pytest.raises(SuiteError) as sharded:
+            ExperimentRunner(workers=1).run_sharded(
+                jobs, shard_size=1, job_fn=first_job_raises
+            )
+        assert plain.value.report.n_completed == 1
+        assert sharded.value.report.n_completed == plain.value.report.n_completed
+
+    def test_journal_of_other_shard_size_refused_before_running(
+        self, tiny_spec, tmp_path
+    ):
+        jobs = experiment_matrix(
+            profiles=[get_profile("web")], drive=tiny_spec,
+            seeds_per_combo=4, span=1.0,
+        )
+        ran = []
+
+        def job_fn(job):
+            ran.append(job.seed)
+            return run_job(job)
+
+        path = tmp_path / "suite.jsonl"
+        with SuiteJournal.open(path, shard_jobs(jobs, 2)) as journal:
+            with pytest.raises(JournalError, match="shard_size=1"):
+                ExperimentRunner(workers=1).run_suite(
+                    jobs, job_fn=job_fn, journal=journal
+                )
+        assert ran == []
 
     def test_shard_result_round_trip(self, tiny_spec):
         jobs = experiment_matrix(

@@ -171,6 +171,21 @@ class TestResumeValidation:
         with pytest.raises(JournalError, match="schema_version 99"):
             SuiteJournal.open(path, jobs, resume=True)
 
+    def test_v1_journal_refused(self, tiny_spec, tmp_path):
+        # Schema 1 journals recorded bare job results; schema 2 records
+        # one-member-or-more shard results, so a v1 journal must fail
+        # loudly on resume rather than merge payloads of the old shape.
+        jobs = _jobs(tiny_spec)
+        path = tmp_path / "suite.jsonl"
+        SuiteJournal.open(path, jobs).close()
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["schema_version"] = 1
+        lines[0] = json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(JournalError, match="schema_version 1"):
+            SuiteJournal.open(path, jobs, resume=True)
+
     def test_different_suite_rejected(self, tiny_spec, tmp_path):
         path = tmp_path / "suite.jsonl"
         SuiteJournal.open(path, _jobs(tiny_spec, 3)).close()

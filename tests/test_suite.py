@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.suite import run_suite, suite_table
+from repro.core.suite import run_profile_studies, suite_table
 from repro.errors import AnalysisError
 
 
 @pytest.fixture(scope="module")
 def suite(tiny_spec):
-    return run_suite(tiny_spec, profiles=["web", "database"], span=30.0, seed=4)
+    return run_profile_studies(tiny_spec, profiles=["web", "database"], span=30.0, seed=4)
 
 
 def test_runs_requested_profiles(suite):
@@ -22,18 +22,18 @@ def test_default_runs_everything(tiny_spec):
 
     # A minute-long window: every profile (including the long-OFF HPC
     # one) has traffic at this seed.
-    suite = run_suite(tiny_spec, span=60.0, seed=2)
+    suite = run_profile_studies(tiny_spec, span=60.0, seed=2)
     assert set(suite) == set(available_profiles())
 
 
 def test_unknown_profile_rejected(tiny_spec):
     with pytest.raises(AnalysisError, match="unknown"):
-        run_suite(tiny_spec, profiles=["nope"])
+        run_profile_studies(tiny_spec, profiles=["nope"])
 
 
 def test_empty_request_rejected(tiny_spec):
     with pytest.raises(AnalysisError):
-        run_suite(tiny_spec, profiles=[])
+        run_profile_studies(tiny_spec, profiles=[])
 
 
 def test_table_renders_rows(suite):
