@@ -5,7 +5,7 @@ matrix, on both the fast replay paths and the reference event loop, and
 writes the numbers to ``BENCH_simulator.json`` at the repo root so future
 PRs have a trajectory to compare against.
 
-The matrix pins four engine configurations:
+The matrix pins five engine configurations:
 
 * ``fcfs-vectorized`` — FCFS on a cache-disabled drive: the fully
   vectorized path (no per-request Python);
@@ -14,14 +14,22 @@ The matrix pins four engine configurations:
 * ``sstf-columnar`` — SSTF with full queue visibility: the columnar
   engine with the sorted-pending/bisect pick kernel;
 * ``sstf-windowed`` — SSTF behind an NCQ window (``queue_depth=32``):
-  the windowed columnar engine.
+  the windowed columnar engine;
+* ``sstf-windowed-faults`` — the same NCQ-windowed SSTF with the
+  ``moderate`` fault profile injected: the columnar loop's hooked serve
+  step, which calls the drive's per-access fault hooks. Its floor fails
+  if faulted NCQ runs fall back to the reference event loop.
 
 Each configuration's ``speedup`` is fast path over the reference event
 loop on the identical trace, with identical scheduling results (the
 equivalence itself is asserted in ``tests/test_simulator_fast.py``).
-The cached configurations carry a pinned ``min_speedup`` floor (>= 4x,
-the columnar-pass acceptance bar); the vectorized path keeps its
-original >= 5x floor.
+The bare cached configurations carry a pinned ``min_speedup`` floor
+(>= 4x, the columnar-pass acceptance bar); the vectorized path keeps its
+original >= 5x floor. The faulted row's floor is about two thirds of its
+measured speedup: the per-access fault hooks dominate both engines, so
+the loop saves only the event loop's per-decision scheduler scan.
+Rows carry a ``faults`` field naming the injected fault profile
+(``None`` = healthy drive).
 
 Run directly (``python benchmarks/bench_perf_simulator.py``) or via
 pytest; both rewrite the artifact. Set ``REPRO_BENCH_QUICK=1`` (the CI
@@ -41,6 +49,7 @@ from _common import DRIVE, SEED, save_result, run_experiments
 from repro.core.report import Table
 from repro.core.runner import ExperimentJob
 from repro.disk.cache import CacheConfig
+from repro.disk.faults import get_fault_profile
 from repro.disk.simulator import DiskSimulator
 from repro.synth.profiles import get_profile
 
@@ -53,21 +62,25 @@ _SPAN = 10.0 if QUICK else 60.0
 
 #: The fixed workload matrix: heavy enough that queues actually build.
 #: ``min_speedup`` is each row's pinned acceptance floor (fast engine
-#: over the reference event loop); floors are deliberately conservative
-#: against noisy shared boxes — measured speedups run far higher.
+#: over the reference event loop); the bare-drive floors are deliberately
+#: conservative against noisy shared boxes — measured speedups run far
+#: higher. ``faults`` names a fault profile to inject (``None`` = none).
 MATRIX = (
     {"name": "fcfs-vectorized", "scheduler": "fcfs", "cache": False,
-     "queue_depth": None, "profile": "database", "rate": 300.0,
+     "queue_depth": None, "faults": None, "profile": "database", "rate": 300.0,
      "span": _SPAN, "min_speedup": 5.0},
     {"name": "fcfs-columnar", "scheduler": "fcfs", "cache": True,
-     "queue_depth": None, "profile": "database", "rate": 300.0,
+     "queue_depth": None, "faults": None, "profile": "database", "rate": 300.0,
      "span": _SPAN, "min_speedup": 4.0},
     {"name": "sstf-columnar", "scheduler": "sstf", "cache": True,
-     "queue_depth": None, "profile": "database", "rate": 300.0,
+     "queue_depth": None, "faults": None, "profile": "database", "rate": 300.0,
      "span": _SPAN, "min_speedup": 4.0},
     {"name": "sstf-windowed", "scheduler": "sstf", "cache": True,
-     "queue_depth": 32, "profile": "database", "rate": 300.0,
+     "queue_depth": 32, "faults": None, "profile": "database", "rate": 300.0,
      "span": _SPAN, "min_speedup": 4.0},
+    {"name": "sstf-windowed-faults", "scheduler": "sstf", "cache": True,
+     "queue_depth": 32, "faults": "moderate", "profile": "database",
+     "rate": 300.0, "span": _SPAN, "min_speedup": 0.85},
 )
 
 #: Acceptance floor: the vectorized FCFS path must beat the event loop
@@ -77,6 +90,10 @@ MIN_FCFS_SPEEDUP = 5.0
 
 def _drive_for(config):
     return DRIVE if config["cache"] else DRIVE.with_cache(CacheConfig.disabled())
+
+
+def _faults_for(config):
+    return get_fault_profile(config["faults"]) if config["faults"] else None
 
 
 def _trace_for(config, drive):
@@ -104,7 +121,7 @@ def measure_matrix():
         fast = _replay_rate(
             DiskSimulator(
                 drive, scheduler=config["scheduler"], seed=SEED,
-                queue_depth=config["queue_depth"],
+                queue_depth=config["queue_depth"], faults=_faults_for(config),
             ),
             trace,
             repetitions=2 if QUICK else 3,
@@ -112,7 +129,8 @@ def measure_matrix():
         reference = _replay_rate(
             DiskSimulator(
                 drive, scheduler=config["scheduler"], seed=SEED,
-                queue_depth=config["queue_depth"], fast_path=False,
+                queue_depth=config["queue_depth"], faults=_faults_for(config),
+                fast_path=False,
             ),
             trace,
             repetitions=1,
@@ -141,6 +159,7 @@ def write_artifact(rows):
             seed=SEED,
             span=c["span"],
             queue_depth=c["queue_depth"],
+            faults=_faults_for(c),
         )
         for c in MATRIX
     ]

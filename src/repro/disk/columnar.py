@@ -1,45 +1,58 @@
-"""Columnar replay engines: structured-array requests, inlined drive.
+"""Columnar replay: one serve loop over structured-array requests.
 
-The reference engines in :mod:`repro.disk.simulator` step the drive one
-Python method call per request, each call re-deriving geometry lookups,
-seek-curve constants and cache bookkeeping. These engines consume the
+The reference event loop in :mod:`repro.disk.simulator` asks a scheduler
+object for every decision and steps the drive one Python method call per
+request. The loop here consumes the
 :data:`~repro.traces.millisecond.REQUEST_DTYPE` structured array built
-once per replay, hoist everything request-independent into vectorized
-precomputation (cylinders, track densities, media transfer times), and
-run the serve loop over plain Python scalars with the drive's decision
-logic inlined.
+once per replay, over plain Python scalars, with one pick step per
+discipline and two serve steps:
 
-They are *twins*, not approximations: every engine makes the same
-decisions, in the same order, with the same floating-point operations and
-the same RNG draw sequence as :meth:`repro.disk.drive.DiskDrive.service_time`
-driven by the reference event loop — rotational latencies are drawn from
-the drive's own generator in serve order (block-buffered;
-``Generator.uniform(0, h, size=n)`` yields the same value sequence as
+* **pick** — FCFS serves in arrival order with no queue at all; SSTF
+  keeps the ``window`` oldest pending requests in a cylinder-sorted list
+  (everything younger waits in a FIFO backlog) and picks with the shared
+  :func:`~repro.disk.scheduler.pick_from_sorted` bisect kernel. Full SSTF
+  is the window with no depth limit; NCQ-windowed SSTF is the event
+  loop's arrival-ordered ``queue[:queue_depth]`` slice without
+  rebuilding or rescanning it per decision.
+* **serve, bare drive** — a :class:`~repro.disk.drive.DiskDrive` with no
+  fault model and no trace-level observer: the drive's decision logic is
+  inlined, with geometry and media times precomputed in vectorized
+  passes, seek-curve constants hoisted and rotational-latency draws
+  block-buffered from the drive's own RNG. Cache and head state are
+  exported from the drive before the loop and imported back after it, so
+  post-run drive state matches a scalar replay; cache counters are
+  tallied locally for metrics-level observers.
+* **serve, hooked device** — a fault model, a
+  :class:`~repro.tier.TieredDevice` or a trace-level observer needs the
+  per-access hooks, so each serve calls ``device.service_time`` and
+  collects ``take_fault_event()``. Queue keys come from
+  ``device.cylinder_of`` at admission and the head from
+  ``device.head_cylinder``, exactly as the event loop reads them.
+
+Both serve steps are *twins* of the event loop, not approximations: the
+same decisions, in the same order, with the same floating-point
+operations and the same RNG draw sequence as
+:meth:`repro.disk.drive.DiskDrive.service_time` driven by the reference
+loop. The bare step draws rotational latencies in serve order
+(``Generator.uniform(0, h, size=n)`` yields the same value sequence as
 ``n`` scalar draws, so only the *unused tail* of the final block leaves
 the generator further advanced than a scalar replay would). Bit-identity
 is pinned by ``tests/test_simulator_fast.py`` and the hypothesis sweep in
 ``tests/test_simulator.py``.
-
-Scope: a bare :class:`~repro.disk.drive.DiskDrive` (no fault model, no
-tier) with no *event-emitting* observer attached — metrics-level
-observation is fine, since the registry is filled post-run from result
-arrays (the engines tally cache counters locally for it). This is
-exactly the gate :class:`~repro.disk.simulator.DiskSimulator` applies
-before selecting a columnar engine. Cache and head state are exported from / imported back
-into the drive around the loop, so post-run drive state matches the
-scalar engines.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from dataclasses import replace
 from math import sqrt
-from typing import List, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.disk.drive import DiskDrive
+from repro.disk.faults import FaultEvent
 from repro.disk.mechanics import rotation_time
 from repro.disk.scheduler import pick_from_sorted
 from repro.units import SECTOR_BYTES
@@ -48,6 +61,38 @@ from repro.units import SECTOR_BYTES
 #: blocks amortize the numpy call, the tail past the last media access is
 #: discarded.
 DRAW_BLOCK = 4096
+
+
+class Replay(NamedTuple):
+    """What a replay engine hands back to the simulator.
+
+    ``start_times`` and ``service_times`` are in trace order; ``order``
+    lists trace indices in the order they were served (per-serve logs
+    such as a tier's hit log are in that order). ``cache_tally`` is
+    ``(read_hits, writes_absorbed, writes_fallthrough)`` counted outside
+    the cache's own hooks — zeros when the hooks ran and counted.
+    """
+
+    start_times: np.ndarray
+    service_times: np.ndarray
+    order: np.ndarray
+    fault_events: List[FaultEvent]
+    cache_tally: Tuple[int, int, int]
+
+
+def run_fcfs_columnar(drive, columns: np.ndarray) -> Replay:
+    """FCFS: arrival order, no queue."""
+    return _replay(drive, columns, None)
+
+
+def run_sstf_columnar(drive, columns: np.ndarray) -> Replay:
+    """SSTF with full queue visibility."""
+    return _replay(drive, columns, len(columns))
+
+
+def run_sstf_windowed_columnar(drive, columns: np.ndarray, queue_depth: int) -> Replay:
+    """SSTF over the ``queue_depth`` oldest pending requests (NCQ)."""
+    return _replay(drive, columns, queue_depth)
 
 
 def _precompute(drive: DiskDrive, columns: np.ndarray):
@@ -88,373 +133,172 @@ def _precompute(drive: DiskDrive, columns: np.ndarray):
     )
 
 
-# The serve body is textually repeated in the three engines below rather
-# than shared through a helper: a function call per request would cost a
-# third of the win. All three copies must stay in lockstep with
-# DiskDrive.service_time — the bit-identity suite enforces it.
+def _replay(device, columns: np.ndarray, window: Optional[int]) -> Replay:
+    """The serve loop. ``window=None`` serves in arrival order (FCFS);
+    an integer serves SSTF over the ``window`` oldest pending requests.
 
-
-def run_fcfs_columnar(
-    drive: DiskDrive, columns: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """FCFS over the columnar representation: arrival order, no queue,
-    drive logic inlined. The cached twin of ``_run_fcfs_sequential``."""
-    n = len(columns)
-    arrival_list = columns["time"].tolist()
-    lba_list = columns["lba"].tolist()
-    size_list = columns["size"].tolist()
-    write_list = columns["is_write"].tolist()
-    nbytes_list = (columns["size"] * SECTOR_BYTES).tolist()
-    (
-        cyl_start, cyl_end, media_list, rotation,
-        single, t_boundary, k, slope, boundary, max_distance,
-    ) = _precompute(drive, columns)
-
-    config = drive.spec.cache
-    read_ahead = config.read_ahead
-    write_back = config.write_back
-    hit_overhead = config.hit_overhead
-    buffer_cap = config.write_buffer_bytes
-    ra_sectors = config.read_ahead_sectors
-    seg_max = config.segment_count
-    drain_rate = config.drain_rate
-    overhead = drive.spec.command_overhead
-    segments, dirty, absorbed, drained_total, last_drain = (
-        drive.cache.export_state()
-    )
-    head, last_media_end = drive.export_kinematics()
-    rng_uniform = drive._rng.uniform
-    draw_buf: List[float] = []
-    draw_pos = 0
-    read_hits = 0
-    absorbed_n = 0
-    fallthrough_n = 0
-
-    starts = [0.0] * n
-    services = [0.0] * n
-    clock = 0.0
-    for i in range(n):
-        arrival = arrival_list[i]
-        if arrival > clock:
-            clock = arrival
-        lba = lba_list[i]
-        size = size_list[i]
-        is_write = write_list[i]
-        service = -1.0
-        if is_write:
-            if write_back:
-                shed = (clock - last_drain) * drain_rate
-                if shed > dirty:
-                    shed = dirty
-                dirty -= shed
-                drained_total += shed
-                last_drain = clock
-                nbytes = nbytes_list[i]
-                if dirty + nbytes <= buffer_cap:
-                    dirty += nbytes
-                    absorbed += nbytes
-                    absorbed_n += 1
-                    service = hit_overhead
-                else:
-                    fallthrough_n += 1
-        elif read_ahead:
-            end = lba + size
-            for seg_start, seg_stop in segments:
-                if seg_start <= lba and end <= seg_stop:
-                    service = hit_overhead
-                    read_hits += 1
-                    break
-        if service < 0.0:
-            if lba == last_media_end:
-                positioning = 0.0
-            else:
-                if draw_pos == len(draw_buf):
-                    draw_buf = rng_uniform(0.0, rotation, DRAW_BLOCK).tolist()
-                    draw_pos = 0
-                latency = draw_buf[draw_pos]
-                draw_pos += 1
-                distance = cyl_start[i] - head
-                if distance < 0:
-                    distance = -distance
-                if distance == 0:
-                    positioning = latency
-                elif distance <= boundary:
-                    positioning = single + k * (sqrt(distance) - 1.0) + latency
-                else:
-                    d = distance if distance < max_distance else max_distance
-                    positioning = t_boundary + slope * (d - boundary) + latency
-            head = cyl_end[i]
-            last_media_end = lba + size
-            if not is_write and read_ahead:
-                segments.append((lba, last_media_end + ra_sectors))
-                if len(segments) > seg_max:
-                    del segments[0]
-            service = overhead + positioning + media_list[i]
-        starts[i] = clock
-        services[i] = service
-        clock += service
-
-    drive.cache.import_state(segments, dirty, absorbed, drained_total, last_drain)
-    drive.import_kinematics(head, last_media_end)
-    return (
-        np.asarray(starts, dtype=np.float64),
-        np.asarray(services, dtype=np.float64),
-        (read_hits, absorbed_n, fallthrough_n),
-    )
-
-
-def run_sstf_columnar(
-    drive: DiskDrive, columns: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """SSTF with full queue visibility: cylinder-sorted pending list with
-    the shared bisect kernel, drive logic inlined."""
-    n = len(columns)
-    arrival_list = columns["time"].tolist()
-    lba_list = columns["lba"].tolist()
-    size_list = columns["size"].tolist()
-    write_list = columns["is_write"].tolist()
-    nbytes_list = (columns["size"] * SECTOR_BYTES).tolist()
-    (
-        cyl_start, cyl_end, media_list, rotation,
-        single, t_boundary, k, slope, boundary, max_distance,
-    ) = _precompute(drive, columns)
-
-    config = drive.spec.cache
-    read_ahead = config.read_ahead
-    write_back = config.write_back
-    hit_overhead = config.hit_overhead
-    buffer_cap = config.write_buffer_bytes
-    ra_sectors = config.read_ahead_sectors
-    seg_max = config.segment_count
-    drain_rate = config.drain_rate
-    overhead = drive.spec.command_overhead
-    segments, dirty, absorbed, drained_total, last_drain = (
-        drive.cache.export_state()
-    )
-    head, last_media_end = drive.export_kinematics()
-    rng_uniform = drive._rng.uniform
-    draw_buf: List[float] = []
-    draw_pos = 0
-    read_hits = 0
-    absorbed_n = 0
-    fallthrough_n = 0
-
-    starts = [0.0] * n
-    services = [0.0] * n
-    pending: List[Tuple[int, int]] = []  # (cylinder, arrival index), sorted
-    next_arrival = 0
-    clock = 0.0
-    completed = 0
-    while completed < n:
-        if not pending:
-            arrival = arrival_list[next_arrival]
-            if arrival > clock:
-                clock = arrival
-        while next_arrival < n and arrival_list[next_arrival] <= clock:
-            insort(pending, (cyl_start[next_arrival], next_arrival))
-            next_arrival += 1
-        pos = pick_from_sorted(pending, head)
-        _, i = pending.pop(pos)
-
-        lba = lba_list[i]
-        size = size_list[i]
-        is_write = write_list[i]
-        service = -1.0
-        if is_write:
-            if write_back:
-                shed = (clock - last_drain) * drain_rate
-                if shed > dirty:
-                    shed = dirty
-                dirty -= shed
-                drained_total += shed
-                last_drain = clock
-                nbytes = nbytes_list[i]
-                if dirty + nbytes <= buffer_cap:
-                    dirty += nbytes
-                    absorbed += nbytes
-                    absorbed_n += 1
-                    service = hit_overhead
-                else:
-                    fallthrough_n += 1
-        elif read_ahead:
-            end = lba + size
-            for seg_start, seg_stop in segments:
-                if seg_start <= lba and end <= seg_stop:
-                    service = hit_overhead
-                    read_hits += 1
-                    break
-        if service < 0.0:
-            if lba == last_media_end:
-                positioning = 0.0
-            else:
-                if draw_pos == len(draw_buf):
-                    draw_buf = rng_uniform(0.0, rotation, DRAW_BLOCK).tolist()
-                    draw_pos = 0
-                latency = draw_buf[draw_pos]
-                draw_pos += 1
-                distance = cyl_start[i] - head
-                if distance < 0:
-                    distance = -distance
-                if distance == 0:
-                    positioning = latency
-                elif distance <= boundary:
-                    positioning = single + k * (sqrt(distance) - 1.0) + latency
-                else:
-                    d = distance if distance < max_distance else max_distance
-                    positioning = t_boundary + slope * (d - boundary) + latency
-            head = cyl_end[i]
-            last_media_end = lba + size
-            if not is_write and read_ahead:
-                segments.append((lba, last_media_end + ra_sectors))
-                if len(segments) > seg_max:
-                    del segments[0]
-            service = overhead + positioning + media_list[i]
-        starts[i] = clock
-        services[i] = service
-        clock += service
-        completed += 1
-
-    drive.cache.import_state(segments, dirty, absorbed, drained_total, last_drain)
-    drive.import_kinematics(head, last_media_end)
-    return (
-        np.asarray(starts, dtype=np.float64),
-        np.asarray(services, dtype=np.float64),
-        (read_hits, absorbed_n, fallthrough_n),
-    )
-
-
-def run_sstf_windowed_columnar(
-    drive: DiskDrive, columns: np.ndarray, queue_depth: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """NCQ-windowed SSTF: the ``queue_depth`` oldest pending requests are
-    kept as a small cylinder-sorted window, everything younger waits in a
-    FIFO backlog — equivalent to the event loop's arrival-ordered
-    ``queue[:queue_depth]`` slice, without rebuilding or rescanning the
-    window per decision.
-
-    The invariant is that ``window`` always holds the
-    ``min(queue_depth, pending)`` *oldest* pending requests: admissions go
-    to the window while it has room and to the backlog after (arrivals are
-    admitted in arrival order, so backlog entries are uniformly older than
-    later admissions), and each serve refills from the backlog head.
+    The window invariant: ``pending`` always holds the
+    ``min(window, pending requests)`` *oldest* pending requests.
+    Admissions go to the window while it has room and to the backlog
+    after (arrivals are admitted in arrival order, so backlog entries are
+    uniformly older than later admissions), and each serve refills from
+    the backlog head. A hooked device's keys are read at admission and
+    kept, as the event loop's queue keeps them, because fault reassignment
+    can move a request's cylinder while it waits.
     """
     n = len(columns)
     arrival_list = columns["time"].tolist()
     lba_list = columns["lba"].tolist()
     size_list = columns["size"].tolist()
     write_list = columns["is_write"].tolist()
-    nbytes_list = (columns["size"] * SECTOR_BYTES).tolist()
-    (
-        cyl_start, cyl_end, media_list, rotation,
-        single, t_boundary, k, slope, boundary, max_distance,
-    ) = _precompute(drive, columns)
-
-    config = drive.spec.cache
-    read_ahead = config.read_ahead
-    write_back = config.write_back
-    hit_overhead = config.hit_overhead
-    buffer_cap = config.write_buffer_bytes
-    ra_sectors = config.read_ahead_sectors
-    seg_max = config.segment_count
-    drain_rate = config.drain_rate
-    overhead = drive.spec.command_overhead
-    segments, dirty, absorbed, drained_total, last_drain = (
-        drive.cache.export_state()
+    fcfs = window is None
+    faults = device.faults
+    hooked = (
+        not isinstance(device, DiskDrive)
+        or faults is not None
+        or (device.obs is not None and device.obs.tracing)
     )
-    head, last_media_end = drive.export_kinematics()
-    rng_uniform = drive._rng.uniform
-    draw_buf: List[float] = []
-    draw_pos = 0
+    if hooked:
+        service_time = device.service_time
+        cylinder_of = device.cylinder_of
+        take_fault_event = device.take_fault_event
+        head = device.head_cylinder
+        keys = [0] * n  # queue key of each request, set at admission
+    else:
+        nbytes_list = (columns["size"] * SECTOR_BYTES).tolist()
+        (
+            cyl_start, cyl_end, media_list, rotation,
+            single, t_boundary, k, slope, boundary, max_distance,
+        ) = _precompute(device, columns)
+        keys = cyl_start
+        config = device.spec.cache
+        read_ahead = config.read_ahead
+        write_back = config.write_back
+        hit_overhead = config.hit_overhead
+        buffer_cap = config.write_buffer_bytes
+        ra_sectors = config.read_ahead_sectors
+        seg_max = config.segment_count
+        drain_rate = config.drain_rate
+        overhead = device.spec.command_overhead
+        segments, dirty, absorbed, drained_total, last_drain = (
+            device.cache.export_state()
+        )
+        head, last_media_end = device.export_kinematics()
+        rng_uniform = device._rng.uniform
+        draw_buf: List[float] = []
+        draw_pos = 0
     read_hits = 0
     absorbed_n = 0
     fallthrough_n = 0
+    events: List[FaultEvent] = []
 
     starts = [0.0] * n
     services = [0.0] * n
-    window: List[Tuple[int, int]] = []  # (cylinder, arrival index), sorted
-    backlog: deque = deque()  # arrival indices, arrival order
+    order = [0] * n  # serve order, written by SSTF picks only
+    pending: List[Tuple[int, int]] = []  # (key, arrival index), sorted
+    backlog: deque = deque()  # arrival indices past the window, in order
     next_arrival = 0
     clock = 0.0
-    completed = 0
-    while completed < n:
-        if not window:
-            arrival = arrival_list[next_arrival]
+    for served in range(n):
+        if fcfs:
+            i = served
+            arrival = arrival_list[i]
             if arrival > clock:
                 clock = arrival
-        while next_arrival < n and arrival_list[next_arrival] <= clock:
-            if len(window) < queue_depth:
-                insort(window, (cyl_start[next_arrival], next_arrival))
-            else:
-                backlog.append(next_arrival)
-            next_arrival += 1
-        pos = pick_from_sorted(window, head)
-        _, i = window.pop(pos)
-        if backlog:
-            j = backlog.popleft()
-            insort(window, (cyl_start[j], j))
+        else:
+            if not pending:
+                arrival = arrival_list[next_arrival]
+                if arrival > clock:
+                    clock = arrival
+            while next_arrival < n and arrival_list[next_arrival] <= clock:
+                j = next_arrival
+                if hooked:
+                    keys[j] = cylinder_of(lba_list[j])
+                if len(pending) < window:
+                    insort(pending, (keys[j], j))
+                else:
+                    backlog.append(j)
+                next_arrival += 1
+            _, i = pending.pop(pick_from_sorted(pending, head))
+            if backlog:
+                j = backlog.popleft()
+                insort(pending, (keys[j], j))
+            order[served] = i
 
-        lba = lba_list[i]
-        size = size_list[i]
-        is_write = write_list[i]
-        service = -1.0
-        if is_write:
-            if write_back:
-                shed = (clock - last_drain) * drain_rate
-                if shed > dirty:
-                    shed = dirty
-                dirty -= shed
-                drained_total += shed
-                last_drain = clock
-                nbytes = nbytes_list[i]
-                if dirty + nbytes <= buffer_cap:
-                    dirty += nbytes
-                    absorbed += nbytes
-                    absorbed_n += 1
-                    service = hit_overhead
+        if hooked:
+            service = service_time(lba_list[i], size_list[i], write_list[i], clock)
+            if faults is not None:
+                event = take_fault_event()
+                if event is not None:
+                    events.append(replace(event, index=i))
+            head = device.head_cylinder
+        else:
+            # DiskDrive.service_time, inlined: keep in lockstep with it.
+            lba = lba_list[i]
+            size = size_list[i]
+            is_write = write_list[i]
+            service = -1.0
+            if is_write:
+                if write_back:
+                    shed = (clock - last_drain) * drain_rate
+                    if shed > dirty:
+                        shed = dirty
+                    dirty -= shed
+                    drained_total += shed
+                    last_drain = clock
+                    nbytes = nbytes_list[i]
+                    if dirty + nbytes <= buffer_cap:
+                        dirty += nbytes
+                        absorbed += nbytes
+                        absorbed_n += 1
+                        service = hit_overhead
+                    else:
+                        fallthrough_n += 1
+            elif read_ahead:
+                end = lba + size
+                for seg_start, seg_stop in segments:
+                    if seg_start <= lba and end <= seg_stop:
+                        service = hit_overhead
+                        read_hits += 1
+                        break
+            if service < 0.0:
+                if lba == last_media_end:
+                    positioning = 0.0
                 else:
-                    fallthrough_n += 1
-        elif read_ahead:
-            end = lba + size
-            for seg_start, seg_stop in segments:
-                if seg_start <= lba and end <= seg_stop:
-                    service = hit_overhead
-                    read_hits += 1
-                    break
-        if service < 0.0:
-            if lba == last_media_end:
-                positioning = 0.0
-            else:
-                if draw_pos == len(draw_buf):
-                    draw_buf = rng_uniform(0.0, rotation, DRAW_BLOCK).tolist()
-                    draw_pos = 0
-                latency = draw_buf[draw_pos]
-                draw_pos += 1
-                distance = cyl_start[i] - head
-                if distance < 0:
-                    distance = -distance
-                if distance == 0:
-                    positioning = latency
-                elif distance <= boundary:
-                    positioning = single + k * (sqrt(distance) - 1.0) + latency
-                else:
-                    d = distance if distance < max_distance else max_distance
-                    positioning = t_boundary + slope * (d - boundary) + latency
-            head = cyl_end[i]
-            last_media_end = lba + size
-            if not is_write and read_ahead:
-                segments.append((lba, last_media_end + ra_sectors))
-                if len(segments) > seg_max:
-                    del segments[0]
-            service = overhead + positioning + media_list[i]
+                    if draw_pos == len(draw_buf):
+                        draw_buf = rng_uniform(0.0, rotation, DRAW_BLOCK).tolist()
+                        draw_pos = 0
+                    latency = draw_buf[draw_pos]
+                    draw_pos += 1
+                    distance = cyl_start[i] - head
+                    if distance < 0:
+                        distance = -distance
+                    if distance == 0:
+                        positioning = latency
+                    elif distance <= boundary:
+                        positioning = single + k * (sqrt(distance) - 1.0) + latency
+                    else:
+                        d = distance if distance < max_distance else max_distance
+                        positioning = t_boundary + slope * (d - boundary) + latency
+                head = cyl_end[i]
+                last_media_end = lba + size
+                if not is_write and read_ahead:
+                    segments.append((lba, last_media_end + ra_sectors))
+                    if len(segments) > seg_max:
+                        del segments[0]
+                service = overhead + positioning + media_list[i]
         starts[i] = clock
         services[i] = service
         clock += service
-        completed += 1
 
-    drive.cache.import_state(segments, dirty, absorbed, drained_total, last_drain)
-    drive.import_kinematics(head, last_media_end)
-    return (
+    if not hooked:
+        device.cache.import_state(segments, dirty, absorbed, drained_total, last_drain)
+        device.import_kinematics(head, last_media_end)
+    events.sort(key=lambda e: e.index)
+    return Replay(
         np.asarray(starts, dtype=np.float64),
         np.asarray(services, dtype=np.float64),
+        np.arange(n) if fcfs else np.asarray(order, dtype=np.int64),
+        events,
         (read_hits, absorbed_n, fallthrough_n),
     )

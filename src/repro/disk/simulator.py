@@ -7,36 +7,26 @@ the busy/idle timeline. This is the substitute for the measurement
 infrastructure the paper had on real drives: instead of observing busy
 and idle on hardware, we observe it on the model.
 
-The replay engine has several executions of the same queueing model,
-picked per run so heavy traces replay as fast as the discipline allows:
+The replay has three executions of the same queueing model, picked per
+run so heavy traces replay as fast as the discipline allows:
 
 * a **vectorized FCFS path** — with FCFS the serve order *is* the arrival
-  order, so when the drive's cache is disabled the whole run collapses to
-  one batched service-time computation plus the classic
+  order, so when the drive's cache is disabled and there is no fault
+  model or tier to consult per access, the whole run collapses to one
+  batched service-time computation plus the classic
   ``finish[i] = max(arrival[i], finish[i-1]) + service[i]`` recurrence,
   evaluated with ``np.maximum.accumulate`` over cumulative sums — no
   Python loop at all;
-* the **columnar engines** (:mod:`repro.disk.columnar`) — FCFS with the
-  cache enabled, SSTF with full visibility, and NCQ-windowed SSTF all
-  replay the structured-array request representation
+* the **columnar serve loop** (:mod:`repro.disk.columnar`) — every other
+  FCFS and SSTF run, full or NCQ-windowed, over the structured-array
+  request representation
   (:data:`~repro.traces.millisecond.REQUEST_DTYPE`, built once per
-  replay) with the drive's decision logic inlined: geometry and media
-  times precomputed in vectorized passes, seek-curve constants hoisted,
-  rotational-latency draws block-buffered from the drive's own RNG, and
-  the SSTF nearest-neighbor decision served by the shared
-  :func:`~repro.disk.scheduler.pick_from_sorted` bisect kernel. They are
-  selected only for a bare, unobserved drive (no faults, no tier, no
-  enabled observer) and are bit-identical to the reference loop;
-* a **sequential FCFS path** — with caching enabled, service times depend
-  on the clock (write-buffer drain), so the drive is stepped request by
-  request, but with no queue or scheduler machinery at all (bit-identical
-  to the event loop); it remains the FCFS engine when an observer, fault
-  model or tier needs the per-access hooks;
-* a **sorted SSTF path** — the scalar twin of the columnar SSTF engine
-  (same cylinder-sorted queue and bisect kernel, drive stepped through
-  its real methods) for SSTF runs that need those hooks;
-* the **event loop** — the general path for seek-aware disciplines and
-  NCQ windows: the queue is kept in arrival order and windowed runs
+  replay). A bare drive is served with its decision logic inlined; a
+  fault model, tier or trace-level observer is served through the
+  device's own per-access hooks. Both are bit-identical to the
+  reference loop;
+* the **event loop** — the reference, and the path for SCAN and any
+  custom scheduler: the queue is kept in arrival order and windowed runs
   slice the oldest ``queue_depth`` entries in O(queue_depth).
 
 ``fast_path=False`` forces every run through the reference event loop;
@@ -46,13 +36,13 @@ suite.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.disk.columnar import (
+    Replay,
     run_fcfs_columnar,
     run_sstf_columnar,
     run_sstf_windowed_columnar,
@@ -64,7 +54,6 @@ from repro.disk.scheduler import (
     Scheduler,
     SstfScheduler,
     make_scheduler,
-    pick_from_sorted,
 )
 from repro.disk.timeline import BusyIdleTimeline
 from repro.errors import SimulationError
@@ -221,8 +210,8 @@ class DiskSimulator:
         toward FCFS as the window shrinks. ``None`` (default) = the
         scheduler sees everything.
     fast_path:
-        When true (default) runs use the specialized FCFS/SSTF executions
-        where applicable; when false every run goes through the reference
+        When true (default) FCFS and SSTF runs use the vectorized or
+        columnar executions; when false every run goes through the reference
         event loop. Results agree — the flag exists for validation and
         perf-regression measurement.
     faults:
@@ -243,10 +232,10 @@ class DiskSimulator:
         :class:`~repro.tier.TieredDevice` around the drive each run, so
         reads that hit flash complete at SSD latency, misses pay the
         drive (plus any synchronous dirty destage), and the result grows
-        ``tier_hits`` / ``tier_summary``. A tier always replays through
-        a per-request engine — the batched FCFS path cannot consult
-        residency, so it falls back to the bit-identical sequential
-        execution.
+        ``tier_hits`` / ``tier_summary``. The batched FCFS path cannot
+        consult residency, so a tiered FCFS or SSTF run replays through
+        the columnar loop's hooked serve step (bit-identical to the
+        event loop).
     obs:
         ``None`` (default) records nothing and is bit-identical to a
         simulator without the parameter. An
@@ -257,12 +246,12 @@ class DiskSimulator:
         typed events into ``obs.events``. Observability never changes
         engine selection, RNG draws or results — every level is
         bit-identical to ``obs=None`` on every engine (asserted by
-        property tests). One consequence: per-seek events need the
-        per-request drive hook, so the batched FCFS engine records
-        serve/queue-depth events (reconstructed post-hoc) but no seek
+        property tests). Per-seek events need the per-request drive
+        hook: at trace level the columnar loop serves through it, but the
+        batched FCFS engine (cache off, no faults, no tier) records
+        serve/queue-depth events (reconstructed post-hoc) and no seek
         events; pass ``fast_path=False`` (or enable the cache / a fault
-        model / another discipline) to replay through a per-request
-        engine and get them.
+        model / another discipline) to get them.
     """
 
     def __init__(
@@ -368,111 +357,67 @@ class DiskSimulator:
                     f"{capacity}; generate against this drive or pass remap_lbas=True"
                 )
 
-        # The columnar engines inline the drive's decision logic over the
-        # structured-array representation. They tally the cache counters
-        # locally (recorded post-run), but per-access *events* — seeks,
-        # write_absorbed — need the scalar hooks, so trace-level runs
-        # stay on the scalar twins. Results are bit-identical either way.
-        columnar_ok = (
-            self.fast_path
-            and drive.faults is None
-            and device is drive
-            and not tracing
-        )
-
-        def request_columns() -> np.ndarray:
-            # Remapping rewrites LBAs/sizes, so only unremapped runs can
-            # share the trace's memoized build.
-            if lbas is trace.lbas and sizes is trace.nsectors:
-                return trace.columns()
-            return build_request_columns(arrivals, lbas, sizes, trace.is_write)
-
         if n == 0:
-            start_times = np.zeros(0, dtype=np.float64)
-            service_times = np.zeros(0, dtype=np.float64)
-            fault_events: List[FaultEvent] = []
-        elif self.fast_path and type(scheduler) is FcfsScheduler:
-            # FCFS serves in arrival order regardless of queue depth, so
-            # the queue machinery is pure overhead.
-            cache = drive.spec.cache
-            if (
-                not cache.read_ahead
-                and not cache.write_back
-                and drive.faults is None
-                and device is drive
-            ):
-                # The batched path cannot consult the per-access fault
-                # hook or tier residency; either one falls back to the
-                # bit-identical sequential execution.
-                start_times, service_times = _run_fcfs_vectorized(
-                    drive, arrivals, lbas, sizes
-                )
-                fault_events = []
-            elif columnar_ok:
-                start_times, service_times, cache_tally = run_fcfs_columnar(
-                    drive, request_columns()
-                )
-                fault_events = []
-                if observing:
-                    _record_cache_tally(obs, cache_tally)
-            else:
-                start_times, service_times, fault_events = _run_fcfs_sequential(
-                    device, arrivals, lbas, sizes, trace.is_write
-                )
-        elif type(scheduler) is SstfScheduler and columnar_ok:
-            if self.queue_depth is None:
-                start_times, service_times, cache_tally = run_sstf_columnar(
-                    drive, request_columns()
-                )
-            else:
-                start_times, service_times, cache_tally = run_sstf_windowed_columnar(
-                    drive, request_columns(), self.queue_depth
-                )
-            fault_events = []
-            if observing:
-                _record_cache_tally(obs, cache_tally)
-        elif (
-            self.fast_path
-            and type(scheduler) is SstfScheduler
-            and self.queue_depth is None
-        ):
-            start_times, service_times, fault_events = _run_sstf_sorted(
-                device, arrivals, lbas, sizes, trace.is_write
-            )
-        else:
-            start_times, service_times, fault_events = _run_event_loop(
+            replay = Replay(np.zeros(0), np.zeros(0), np.arange(0), [], (0, 0, 0))
+        elif not self.fast_path or type(scheduler) not in (FcfsScheduler, SstfScheduler):
+            replay = _run_event_loop(
                 device, scheduler, arrivals, lbas, sizes, trace.is_write,
                 self.queue_depth,
             )
+        elif (
+            type(scheduler) is FcfsScheduler
+            and not drive.spec.cache.read_ahead
+            and not drive.spec.cache.write_back
+            and drive.faults is None
+            and device is drive
+        ):
+            # FCFS serves in arrival order regardless of queue depth; with
+            # the cache off and nothing to consult per access, the whole
+            # run is one batched computation.
+            start_times, service_times = _run_fcfs_vectorized(
+                drive, arrivals, lbas, sizes
+            )
+            replay = Replay(start_times, service_times, np.arange(n), [], (0, 0, 0))
+        else:
+            # Remapping rewrites LBAs/sizes, so only unremapped runs can
+            # share the trace's memoized build.
+            if lbas is trace.lbas and sizes is trace.nsectors:
+                columns = trace.columns()
+            else:
+                columns = build_request_columns(arrivals, lbas, sizes, trace.is_write)
+            if type(scheduler) is FcfsScheduler:
+                replay = run_fcfs_columnar(device, columns)
+            elif self.queue_depth is None:
+                replay = run_sstf_columnar(device, columns)
+            else:
+                replay = run_sstf_windowed_columnar(device, columns, self.queue_depth)
 
         drive_name = drive.spec.name
         tier_hits: Optional[np.ndarray] = None
         tier_summary: Optional[Dict[str, Any]] = None
         if device is not drive:
-            # The hit log is in service order; service times are strictly
-            # positive, so start times are strictly increasing in serve
-            # order and a stable argsort recovers the permutation back to
-            # trace order.
+            # The hit log is in service order; the engine reports that
+            # order, which start times alone cannot recover once services
+            # may take zero time.
             tier_hits = np.zeros(n, dtype=bool)
-            if n:
-                order = np.argsort(start_times, kind="stable")
-                tier_hits[order] = device.hit_array()
+            tier_hits[replay.order] = device.hit_array()
             tier_summary = device.summary()
         result = SimulationResult(
             trace=trace,
-            start_times=start_times,
-            service_times=service_times,
+            start_times=replay.start_times,
+            service_times=replay.service_times,
             drive_name=drive_name,
             scheduler_name=getattr(scheduler, "name", type(scheduler).__name__),
-            fault_events=fault_events,
+            fault_events=replay.fault_events,
             tier_hits=tier_hits,
             tier_summary=tier_summary,
         )
         if observing:
+            _record_cache_tally(obs, replay.cache_tally)
             _record_metrics(obs, result, lbas, sizes)
         if tracing:
-            _emit_serve_events(obs, trace, lbas, sizes, start_times, service_times)
-            _emit_queue_depth_events(obs, arrivals, start_times)
+            _emit_serve_events(obs, result, lbas, sizes, replay.order)
+            _emit_queue_depth_events(obs, arrivals, result.start_times)
             obs.emit(
                 "run_end", result.timeline.span, "sim",
                 n_requests=n,
@@ -508,102 +453,6 @@ def _run_fcfs_vectorized(
     # arrives (the event loop guarantees this exactly).
     start_times = np.maximum(exclusive + slack, arrivals)
     return start_times, service_times
-
-
-def _run_fcfs_sequential(
-    drive: Union[DiskDrive, TieredDevice],
-    arrivals: np.ndarray,
-    lbas: np.ndarray,
-    sizes: np.ndarray,
-    is_write: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, List[FaultEvent]]:
-    """FCFS with caching enabled (or a fault model attached): service
-    times depend on the clock (the write buffer drains in wall time), so
-    step the drive request by request — but skip the queue and scheduler
-    entirely. Bit-identical to the event loop: same ``service_time``
-    calls, in the same order, at the same clocks."""
-    n = arrivals.size
-    start_times = np.empty(n, dtype=np.float64)
-    service_times = np.empty(n, dtype=np.float64)
-    arrival_list = arrivals.tolist()
-    lba_list = lbas.tolist()
-    size_list = sizes.tolist()
-    write_list = is_write.tolist()
-    service_time = drive.service_time
-    record_faults = drive.faults is not None
-    events: List[FaultEvent] = []
-    clock = 0.0
-    for i in range(n):
-        arrival = arrival_list[i]
-        if arrival > clock:
-            clock = arrival
-        service = service_time(lba_list[i], size_list[i], write_list[i], clock)
-        if record_faults:
-            event = drive.take_fault_event()
-            if event is not None:
-                events.append(replace(event, index=i))
-        start_times[i] = clock
-        service_times[i] = service
-        clock += service
-    return start_times, service_times, events
-
-
-def _run_sstf_sorted(
-    drive: Union[DiskDrive, TieredDevice],
-    arrivals: np.ndarray,
-    lbas: np.ndarray,
-    sizes: np.ndarray,
-    is_write: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, List[FaultEvent]]:
-    """SSTF with full queue visibility over an incrementally maintained
-    cylinder-sorted queue.
-
-    The pending set lives in a list sorted by ``(cylinder, arrival)``;
-    each decision bisects for the head position and compares the two
-    boundary runs — O(log n) comparisons instead of the linear scan of
-    :class:`SstfScheduler` — and picks exactly the entry the scan would:
-    minimal ``(|cylinder - head|, arrival)``.
-    """
-    n = arrivals.size
-    start_times = np.empty(n, dtype=np.float64)
-    service_times = np.empty(n, dtype=np.float64)
-    arrival_list = arrivals.tolist()
-    lba_list = lbas.tolist()
-    size_list = sizes.tolist()
-    write_list = is_write.tolist()
-    cylinder_of = drive.cylinder_of
-    service_time = drive.service_time
-    record_faults = drive.faults is not None
-    events: List[FaultEvent] = []
-
-    pending: List[Tuple[int, int]] = []  # (cylinder, arrival index), sorted
-    next_arrival = 0
-    clock = 0.0
-    completed = 0
-
-    while completed < n:
-        if not pending:
-            arrival = arrival_list[next_arrival]
-            if arrival > clock:
-                clock = arrival
-        while next_arrival < n and arrival_list[next_arrival] <= clock:
-            insort(pending, (cylinder_of(lba_list[next_arrival]), next_arrival))
-            next_arrival += 1
-
-        _, idx = pending.pop(pick_from_sorted(pending, drive.head_cylinder))
-
-        service = service_time(lba_list[idx], size_list[idx], write_list[idx], clock)
-        if record_faults:
-            event = drive.take_fault_event()
-            if event is not None:
-                events.append(replace(event, index=idx))
-        start_times[idx] = clock
-        service_times[idx] = service
-        clock += service
-        completed += 1
-    if record_faults:
-        events.sort(key=lambda e: e.index)
-    return start_times, service_times, events
 
 
 # ----------------------------------------------------------------------
@@ -657,7 +506,8 @@ def _record_metrics(
 
 
 def _record_cache_tally(obs: Observer, tally: Tuple[int, int, int]) -> None:
-    """Record the cache counters a columnar engine tallied locally.
+    """Record the cache counters the bare serve step tallied locally
+    (all zero when the cache's own hooks ran and counted).
 
     Counters are created only for non-zero counts, matching the lazy
     creation of the scalar hooks (which never see a zero increment) —
@@ -675,29 +525,29 @@ def _record_cache_tally(obs: Observer, tally: Tuple[int, int, int]) -> None:
 
 def _emit_serve_events(
     obs: Observer,
-    trace: RequestTrace,
+    result: SimulationResult,
     lbas: np.ndarray,
     sizes: np.ndarray,
-    start_times: np.ndarray,
-    service_times: np.ndarray,
+    order: np.ndarray,
 ) -> None:
     """One ``serve`` event per request, in service order.
 
     The payload carries everything needed to rebuild the replayed trace
     (:func:`repro.obs.events.request_trace_from_events`): the original
     arrival, the (possibly remapped) LBA, size, direction and the trace
-    index. Emission follows start-time order so the ``sim`` source stays
-    time-ordered; the whole batch lands in the ring as one column block.
+    index. ``order`` is the engine's serve order, so the ``sim`` source
+    stays time-ordered; the whole batch lands in the ring as one column
+    block.
     """
-    order = np.argsort(start_times, kind="stable")
+    trace = result.trace
     obs.emit_columns(
-        "serve", "sim", start_times[order],
+        "serve", "sim", result.start_times[order],
         index=order,
         arrival=trace.times[order],
         lba=lbas[order],
         nsectors=sizes[order],
         write=trace.is_write[order],
-        service=service_times[order],
+        service=result.service_times[order],
     )
 
 
@@ -735,7 +585,7 @@ def _run_event_loop(
     sizes: np.ndarray,
     is_write: np.ndarray,
     queue_depth: Optional[int],
-) -> Tuple[np.ndarray, np.ndarray, List[FaultEvent]]:
+) -> Replay:
     """The reference event loop: admit arrivals, let the scheduler pick,
     serve, repeat. Handles any discipline and any queue depth."""
     n = arrivals.size
@@ -747,6 +597,7 @@ def _run_event_loop(
     write_list = is_write.tolist()
     record_faults = drive.faults is not None
     events: List[FaultEvent] = []
+    order: List[int] = []
 
     # Queue entries are (cylinder, arrival_order); the queue is appended
     # to in arrival order and pops preserve relative order, so it stays
@@ -776,6 +627,7 @@ def _run_event_loop(
         else:
             pick = scheduler.pick(queue, drive.head_cylinder)
         _, idx = queue.pop(pick)
+        order.append(idx)
         service = drive.service_time(
             lba_list[idx], size_list[idx], write_list[idx], clock
         )
@@ -789,4 +641,7 @@ def _run_event_loop(
         completed += 1
     if record_faults:
         events.sort(key=lambda e: e.index)
-    return start_times, service_times, events
+    return Replay(
+        start_times, service_times, np.asarray(order, dtype=np.int64), events,
+        (0, 0, 0),
+    )

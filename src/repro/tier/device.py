@@ -3,8 +3,8 @@
 :class:`TieredDevice` wraps a :class:`~repro.disk.drive.DiskDrive` and
 exposes the same per-request surface the replay engines drive
 (``service_time`` / ``cylinder_of`` / ``head_cylinder`` /
-``take_fault_event``), so every engine — sequential FCFS, sorted SSTF,
-the reference event loop — replays through a tier without changing a
+``take_fault_event``), so both the columnar serve loop's hooked step
+and the reference event loop replay through a tier without changing a
 line of engine code. With no tier configured the simulator hands the
 engines the bare drive, which is what keeps ``tier=None`` runs
 bit-identical to a simulator that predates the tier.
@@ -233,7 +233,7 @@ class TieredDevice:
         )
         self.stats = TierStats()
         #: Per-request hit flags in *service order*; the simulator maps
-        #: them back to trace order through the start-time permutation.
+        #: them back to trace order through the engine's serve order.
         self.hit_log: List[bool] = []
         #: chunk id -> dirty flag for every flash-resident chunk.
         self._resident: Dict[int, bool] = {}

@@ -2,10 +2,10 @@
 
 Every specialized execution in :mod:`repro.disk.simulator` must produce
 the same scheduling results as the reference event loop
-(``fast_path=False``): bit-identical for the sequential FCFS and sorted
-SSTF paths (same ``service_time`` calls in the same order), and within
-1e-9 for the vectorized FCFS path (the start-time recurrence reassociates
-float additions).
+(``fast_path=False``): bit-identical for the columnar serve loop (same
+decisions, draws and float operations as the ``service_time`` calls it
+inlines or makes), and within 1e-9 for the vectorized FCFS path (the
+start-time recurrence reassociates float additions).
 """
 
 import numpy as np
@@ -13,10 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.disk.simulator as simulator_module
+from repro.disk.faults import moderate_faults
 from repro.disk.simulator import DiskSimulator
 from repro.disk.timeline import BusyIdleTimeline
+from repro.obs import Observer
 from repro.synth.profiles import get_profile
 from repro.synth.workload import ArrivalSpec, WorkloadProfile
+from repro.tier import TierConfig
 from repro.traces.millisecond import RequestTrace
 
 
@@ -210,6 +214,154 @@ class TestEngineMatrixProperty:
             )
         np.testing.assert_array_equal(fast.failed, reference.failed)
         assert len(fast.fault_events) == len(reference.fault_events)
+
+
+class TestHookedEngineMatrixProperty:
+    """Property: with a tier and a trace-level observer in the matrix too,
+    the selected engine matches the reference event loop on timings,
+    failures, fault events, tier hits and the ``sim``/``drive`` event
+    streams across scheduler x queue depth x cache x faults x seed."""
+
+    @given(
+        scheduler=st.sampled_from(["fcfs", "sstf", "scan"]),
+        queue_depth=st.sampled_from([None, 4]),
+        cached=st.booleans(),
+        faulty=st.booleans(),
+        tier=st.sampled_from([None, "wb"]),
+        obs=st.sampled_from([None, "trace"]),
+        sim_seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_selected_engine_matches_reference(
+        self, tiny_spec, tiny_spec_nocache, prop_trace,
+        scheduler, queue_depth, cached, faulty, tier, obs, sim_seed,
+    ):
+        spec = tiny_spec if cached else tiny_spec_nocache
+
+        def replay(fast_path):
+            observer = Observer(obs) if obs else None
+            result = DiskSimulator(
+                spec, scheduler=scheduler, seed=sim_seed,
+                queue_depth=queue_depth,
+                faults=moderate_faults() if faulty else None,
+                tier=TierConfig(mode=tier) if tier else None,
+                obs=observer, fast_path=fast_path,
+            ).run(prop_trace)
+            streams = {
+                source: [
+                    (e.kind, e.time, dict(e.data))
+                    for e in (observer.events if observer else ())
+                    if e.source == source
+                ]
+                for source in ("sim", "drive")
+            }
+            return result, streams
+
+        fast, fast_streams = replay(True)
+        reference, reference_streams = replay(False)
+        if scheduler == "fcfs" and not cached and not faulty and tier is None:
+            # The vectorized engine reassociates the start-time recurrence
+            # and, having no per-access hook, records no seek events.
+            np.testing.assert_allclose(
+                fast.start_times, reference.start_times, rtol=0, atol=1e-9
+            )
+            np.testing.assert_array_equal(
+                fast.service_times, reference.service_times
+            )
+        else:
+            np.testing.assert_array_equal(fast.start_times, reference.start_times)
+            np.testing.assert_array_equal(
+                fast.service_times, reference.service_times
+            )
+            assert fast_streams == reference_streams
+        np.testing.assert_array_equal(fast.failed, reference.failed)
+        assert fast.fault_events == reference.fault_events
+        if tier:
+            np.testing.assert_array_equal(fast.tier_hits, reference.tier_hits)
+        else:
+            assert fast.tier_hits is None and reference.tier_hits is None
+
+
+COLUMNAR_ENTRIES = (
+    "run_fcfs_columnar", "run_sstf_columnar", "run_sstf_windowed_columnar",
+)
+
+
+@pytest.fixture
+def columnar_calls(monkeypatch):
+    """Names of the columnar entry points each run goes through, counted
+    where the simulator looks them up."""
+    calls = []
+    for name in COLUMNAR_ENTRIES:
+        original = getattr(simulator_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(simulator_module, name, counted)
+    return calls
+
+
+class TestColumnarRouting:
+    """FCFS and SSTF runs replay through exactly one columnar entry point,
+    whatever hooks the device carries; only SCAN, ``fast_path=False`` and
+    the batched cache-off FCFS path bypass them."""
+
+    HOOKS = {
+        "bare": {},
+        "faults": {"faults": moderate_faults()},
+        "tier": {"tier": TierConfig(mode="wb")},
+        "trace-obs": {"obs": "trace"},
+    }
+
+    @staticmethod
+    def simulator(spec, scheduler, queue_depth=None, fast_path=True, **hooks):
+        if hooks.get("obs"):
+            hooks["obs"] = Observer(hooks["obs"])
+        return DiskSimulator(
+            spec, scheduler=scheduler, seed=1, queue_depth=queue_depth,
+            fast_path=fast_path, **hooks,
+        )
+
+    @pytest.mark.parametrize("hook", sorted(HOOKS))
+    @pytest.mark.parametrize(
+        "scheduler,queue_depth,entry",
+        [
+            ("fcfs", None, "run_fcfs_columnar"),
+            ("fcfs", 4, "run_fcfs_columnar"),
+            ("sstf", None, "run_sstf_columnar"),
+            ("sstf", 4, "run_sstf_windowed_columnar"),
+        ],
+    )
+    def test_fcfs_and_sstf_go_through_one_entry(
+        self, tiny_spec, prop_trace, columnar_calls,
+        hook, scheduler, queue_depth, entry,
+    ):
+        self.simulator(
+            tiny_spec, scheduler, queue_depth, **self.HOOKS[hook]
+        ).run(prop_trace)
+        assert columnar_calls == [entry]
+
+    @pytest.mark.parametrize("hook", sorted(HOOKS))
+    @pytest.mark.parametrize("queue_depth", [None, 4])
+    def test_scan_and_reference_runs_bypass_columnar(
+        self, tiny_spec, prop_trace, columnar_calls, hook, queue_depth,
+    ):
+        hooks = self.HOOKS[hook]
+        self.simulator(tiny_spec, "scan", queue_depth, **hooks).run(prop_trace)
+        for scheduler in ("fcfs", "sstf"):
+            self.simulator(
+                tiny_spec, scheduler, queue_depth, fast_path=False, **hooks
+            ).run(prop_trace)
+        assert columnar_calls == []
+
+    @pytest.mark.parametrize("obs", [None, "trace"])
+    def test_bare_cache_off_fcfs_stays_vectorized(
+        self, tiny_spec_nocache, prop_trace, columnar_calls, obs,
+    ):
+        self.simulator(tiny_spec_nocache, "fcfs", obs=obs).run(prop_trace)
+        assert columnar_calls == []
 
 
 class TestZeroRequestPipeline:

@@ -455,6 +455,59 @@ class TestSimulatorIntegration:
         assert "tier_flush" in kinds
 
 
+class TestZeroTimeServiceOrder:
+    """With ``hit_overhead=0`` drive-cache hits take no time, so several
+    requests can start at the same clock and start times alone no longer
+    give the serve order. Tier hits and ``serve`` events must follow the
+    order the engine actually served in."""
+
+    @pytest.fixture(scope="class")
+    def zero_overhead_spec(self, tiny_spec):
+        from dataclasses import replace
+
+        return tiny_spec.with_cache(replace(tiny_spec.cache, hit_overhead=0.0))
+
+    @pytest.fixture(scope="class")
+    def email_trace(self, zero_overhead_spec):
+        return get_profile("email").with_rate(400.0).synthesize(
+            4.0, zero_overhead_spec.capacity_sectors, seed=7
+        )
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    @pytest.mark.parametrize("scheduler", ["fcfs", "sstf", "scan"])
+    def test_tier_hits_land_on_requests_served_from_flash(
+        self, zero_overhead_spec, email_trace, scheduler, fast_path
+    ):
+        from repro.obs import Observer
+
+        config = tier_config()
+        obs = Observer("trace")
+        result = DiskSimulator(
+            zero_overhead_spec, scheduler, seed=1, tier=config,
+            fast_path=fast_path, obs=obs,
+        ).run(email_trace)
+        trace = email_trace
+        assert (result.service_times == 0.0).sum() > len(trace) // 4
+        # A tier hit completes in exactly the SSD's service time; a miss
+        # goes through the drive (zero for a drive-cache hit).
+        nbytes = trace.nsectors * SECTOR_BYTES
+        ssd = config.ssd
+        flash = np.where(
+            trace.is_write,
+            ssd.write_latency + nbytes / ssd.write_bandwidth,
+            ssd.read_latency + nbytes / ssd.read_bandwidth,
+        )
+        hits = result.tier_hits
+        assert hits.sum() > 0
+        np.testing.assert_array_equal(result.service_times[hits], flash[hits])
+
+        # In serve order, nothing starts before its predecessor finished.
+        served = [e for e in obs.events if e.kind == "serve"]
+        times = np.array([e.time for e in served])
+        services = np.array([e.data["service"] for e in served])
+        assert np.all(times[1:] >= times[:-1] + services[:-1])
+
+
 class TestTierTailAnalysis:
     def test_untiered_result_rejected(self, web_result):
         with pytest.raises(AnalysisError):
