@@ -16,13 +16,13 @@ The reproduction targets:
 * each fitted twin stays within a per-format divergence bound across the
   validation timescales (rate, count CV, IDC, idle fraction).
 
-Run directly (``python benchmarks/bench_ingest.py``, add ``--quick``
-for the CI smoke variant with a single timing repeat) or via pytest;
-both rewrite the artifact.
+Run directly (``python benchmarks/bench_ingest.py``) or via pytest;
+both rewrite the artifact. Set ``REPRO_BENCH_QUICK=1`` (the CI
+ingest-smoke job does) for a single timing repeat.
 """
 
-import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -35,6 +35,9 @@ from repro.synth.calibrate import fit_from_trace, validate_twin
 from repro.traces.ingest import get_parser
 
 ARTIFACT = Path(__file__).parent.parent / "BENCH_ingest.json"
+
+#: ``REPRO_BENCH_QUICK=1``: one timing repeat instead of three.
+QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 SAMPLE_DIR = Path(__file__).parent.parent / "tests" / "golden" / "data" / "ingest"
 
 #: Committed sample per format and its known corrupt-row count.
@@ -62,9 +65,9 @@ DIVERGENCE_BOUNDS = {
 MIN_ROWS_PER_SECOND = 20_000.0
 
 
-def measure(quick=False):
+def measure():
     """Parse + fit + validate every sample; returns ``{format: row}``."""
-    repeats = 1 if quick else 3
+    repeats = 1 if QUICK else 3
     rows = {}
     for fmt, (filename, n_corrupt) in SAMPLES.items():
         path = SAMPLE_DIR / filename
@@ -93,12 +96,12 @@ def measure(quick=False):
     return rows
 
 
-def write_artifact(rows, quick=False):
+def write_artifact(rows):
     payload = {
         "schema": 1,
         "generated_by": "benchmarks/bench_ingest.py",
         "seed": SEED,
-        "quick": quick,
+        "quick": QUICK,
         "scales": list(SCALES),
         "min_rows_per_second": MIN_ROWS_PER_SECOND,
         "formats": {},
@@ -159,22 +162,16 @@ def check_bounds(rows, payload):
 
 
 def test_ingest():
-    rows = measure(quick=True)
-    payload = write_artifact(rows, quick=True)
+    rows = measure()
+    payload = write_artifact(rows)
     save_result("ingest", render_table(rows))
     check_bounds(rows, payload)
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="single timing repeat for CI smoke runs",
-    )
-    cli_args = parser.parse_args()
-    computed = measure(quick=cli_args.quick)
+    computed = measure()
     print(render_table(computed))
-    artifact = write_artifact(computed, quick=cli_args.quick)
+    artifact = write_artifact(computed)
     check_bounds(computed, artifact)
     worst = max(
         artifact["formats"].items(), key=lambda kv: kv[1]["max_divergence"]

@@ -21,13 +21,13 @@ tier capacity is commensurate with the working set; over the raw 90 GB
 address space a 256 MiB tier never warms up and every policy looks the
 same.
 
-Run directly (``python benchmarks/bench_tier_hitrate.py``, add
-``--quick`` for the CI smoke variant with shortened spans) or via
-pytest; both rewrite the artifact.
+Run directly (``python benchmarks/bench_tier_hitrate.py``) or via
+pytest; both rewrite the artifact. Set ``REPRO_BENCH_QUICK=1`` (the CI
+tier-smoke job does) for shortened spans.
 """
 
-import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -42,6 +42,9 @@ from repro.tier import TierConfig
 from repro.units import MIB
 
 ARTIFACT = Path(__file__).parent.parent / "BENCH_tier.json"
+
+#: ``REPRO_BENCH_QUICK=1``: the shortened ``QUICK_TIMESCALES`` for CI.
+QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
 #: Skewed workload and the fraction of the drive it concentrates on.
 PROFILE, RATE, REGION_FRACTION = "database", 150.0, 64
@@ -73,11 +76,11 @@ def _trace(span):
     return profile.synthesize(span=span, capacity_sectors=region, seed=SEED)
 
 
-def measure(quick=False):
+def measure():
     """Replay wt and wb at each timescale; returns
     ``{scale: {mode: (summary, TierTailAnalysis)}}``."""
     rows = {}
-    for name, span in (QUICK_TIMESCALES if quick else TIMESCALES):
+    for name, span in (QUICK_TIMESCALES if QUICK else TIMESCALES):
         trace = _trace(span)
         per_mode = {}
         for mode in ("wt", "wb"):
@@ -87,12 +90,12 @@ def measure(quick=False):
     return rows
 
 
-def write_artifact(rows, quick=False):
+def write_artifact(rows):
     payload = {
         "schema": 1,
         "generated_by": "benchmarks/bench_tier_hitrate.py",
         "seed": SEED,
-        "quick": quick,
+        "quick": QUICK,
         "workload": {
             "profile": PROFILE,
             "rate": RATE,
@@ -150,8 +153,8 @@ def render_table(rows):
 
 
 def test_tier_hitrate():
-    rows = measure(quick=True)
-    payload = write_artifact(rows, quick=True)
+    rows = measure()
+    payload = write_artifact(rows)
     save_result("tier_hitrate", render_table(rows))
     assert ARTIFACT.exists()
     for name, scale in payload["timescales"].items():
@@ -167,15 +170,9 @@ def test_tier_hitrate():
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="shortened spans for CI smoke runs",
-    )
-    cli_args = parser.parse_args()
-    computed = measure(quick=cli_args.quick)
+    computed = measure()
     print(render_table(computed))
-    artifact = write_artifact(computed, quick=cli_args.quick)
+    artifact = write_artifact(computed)
     sustained = artifact["timescales"]["sustained"]["modes"]
     print(
         f"wrote {ARTIFACT} (sustained wb hit rate "

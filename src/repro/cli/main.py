@@ -54,7 +54,6 @@ from repro.tier import TIER_MODES, TierConfig, available_heat_policies
 from repro.traces.io import (
     read_hourly_dataset,
     read_lifetime_dataset,
-    read_request_trace,
     write_hourly_dataset,
     write_lifetime_dataset,
     write_request_trace,
@@ -81,20 +80,16 @@ def _fault_profile(name):
 
 
 def _load_trace(args: argparse.Namespace):
-    """Read ``args.trace`` honoring ``--format``/``--permissive``.
+    """Read ``args.trace`` honoring ``--format``/``--permissive`` through
+    :class:`~repro.traces.ingest.TraceSource` (``native``, the default
+    everywhere, is the library's own CSV)."""
+    from repro.traces.ingest import TraceSource
 
-    ``native`` (the default everywhere) is the library's own CSV via
-    :func:`~repro.traces.io.read_request_trace`; any other value goes
-    through the ingest parser registry, normalizing that format's units
-    on the way in.
-    """
-    fmt = getattr(args, "format", "native")
-    strict = not getattr(args, "permissive", False)
-    if fmt == "native":
-        return read_request_trace(args.trace, strict=strict)
-    from repro.traces.ingest import get_parser
-
-    return get_parser(fmt).parse(args.trace, strict=strict)
+    return TraceSource(
+        args.trace,
+        format=getattr(args, "format", "native"),
+        strict=not getattr(args, "permissive", False),
+    ).load()
 
 
 def _tier_config(args: argparse.Namespace) -> Optional[TierConfig]:
@@ -975,9 +970,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--chaos", default="off",
             choices=["off", "light", "moderate", "heavy"],
-            help="inject seeded worker faults (kills/stalls/delays/shm "
-            "failures) while the suite runs (default: off; results stay "
-            "bit-identical)",
+            help="inject seeded worker faults (kills/stalls/delays) while "
+            "the suite runs (default: off; results stay bit-identical)",
         )
         p.add_argument(
             "--chaos-seed", type=int, default=0,

@@ -10,9 +10,11 @@ deterministic per-job seed stream so a suite is reproducible regardless
 of worker count or scheduling.
 
 Jobs carry plain frozen dataclasses (profiles and drive specs pickle
-cleanly), and results come back as compact :class:`JobResult` summaries
-rather than full :class:`SimulationResult` objects, so the fan-out cost
-is the simulation itself, not inter-process traffic.
+cleanly; a job replaying a capture carries a
+:class:`~repro.traces.ingest.source.TraceSource`, which each worker
+loads itself), and results come back as compact :class:`JobResult`
+summaries rather than full :class:`SimulationResult` objects, so the
+fan-out cost is the simulation itself, not inter-process traffic.
 
 Resilience
 ----------
@@ -31,7 +33,7 @@ produces, so the runner carries a resilience layer:
   shared :class:`~repro.core.backoff.BackoffPolicy` spacing attempts.
 * **Chaos injection** — a seeded
   :class:`~repro.core.chaos.ChaosPolicy` makes the runner torture its
-  own pool (kills, stalls, delays, shared-memory attach failures);
+  own pool (kills, stalls, delays);
   chaos-injected kills do not consume the retry budget.
 * **Resource guards** — a per-worker RSS watchdog recycles bloated
   workers, and ``suite_deadline`` returns a partial-but-valid (and,
@@ -135,15 +137,10 @@ class ExperimentJob:
     trace:
         Optional trace handle replacing synthesis with a replay
         (``None`` = synthesize from ``profile``; exactly one of the two
-        must be set). A pointer, not a trace: each worker calls
-        ``trace.load()`` itself, so the job stays cheap to pickle
-        however large the capture is. Any object with ``load()`` and
-        ``label`` works — a
-        :class:`~repro.traces.ingest.source.TraceSource` re-reads a
-        file per worker, a
-        :class:`~repro.traces.shared.SharedTraceSource` attaches the
-        publisher's shared-memory columns without pickling or re-parsing
-        a byte of request payload. Trace jobs ignore ``span`` (the
+        must be set). A :class:`~repro.traces.ingest.source.TraceSource`,
+        a pointer rather than a trace: each worker calls ``trace.load()``
+        itself, re-reading the file, so the job stays cheap to pickle
+        however large the capture is. Trace jobs ignore ``span`` (the
         capture's own span rules) and use ``seed`` only for the drive
         RNG.
     tenants:
@@ -1032,23 +1029,12 @@ def _any_failed(members: Sequence[MemberOutcome]) -> bool:
     return any(isinstance(outcome, JobFailure) for outcome, _, _ in members)
 
 
-def _apply_worker_plan(worker_plan: Optional[Tuple[float, int]]) -> None:
-    """Apply the worker-side legs of a chaos plan: startup delay and
-    armed shared-memory attach failures."""
-    if worker_plan is None:
-        return
-    delay, shm_failures = worker_plan
-    if delay > 0:
-        sleep(delay)
-    if shm_failures > 0:
-        from repro.traces.shared import inject_attach_failures
-
-        inject_attach_failures(shm_failures)
 
 
 def _pool_worker(conn) -> None:
     """Loop of one pooled worker process: receive ``(job_fn, shard,
-    max_retries, backoff, chaos_plan)`` messages, run the shard through
+    max_retries, backoff, delay)`` messages, sleep the chaos ``delay``,
+    run the shard through
     :func:`_execute_shard`, send the member outcomes back. A ``None``
     message (or a closed pipe) shuts the worker down. Module-level so the
     ``spawn`` start method can import it.
@@ -1067,8 +1053,9 @@ def _pool_worker(conn) -> None:
                 break
             if message is None:
                 break
-            job_fn, shard, max_retries, backoff, worker_plan = message
-            _apply_worker_plan(worker_plan)
+            job_fn, shard, max_retries, backoff, delay = message
+            if delay > 0:
+                sleep(delay)
             members = _execute_shard(job_fn, shard, max_retries, backoff)
             try:
                 conn.send((members, _rss_bytes()))
@@ -1475,13 +1462,11 @@ class ExperimentRunner:
                 return
             if self.chaos is not None:
                 # Inline mode has no worker process to kill or stall;
-                # only the worker-side chaos legs apply.
-                plan = self.chaos.plan(k, 1)
-                if plan.delay > 0:
+                # only the worker-side delay applies.
+                delay = self.chaos.plan(k, 1).delay
+                if delay > 0:
                     counters.counter("chaos.delays").inc()
-                if plan.shm_failures > 0:
-                    counters.counter("chaos.shm_failures").inc()
-                _apply_worker_plan((plan.delay, plan.shm_failures))
+                    sleep(delay)
             members = _execute_shard(fn, shards[k], self.max_retries, self.retry_backoff)
             for j, index in enumerate(shards[k].indices):
                 # Inline mode cannot preempt a running job, so the
@@ -1601,20 +1586,17 @@ class ExperimentRunner:
                     worker = idle.pop()
                     submissions[k] = submissions.get(k, 0) + 1
                     plan: Optional[ChaosPlan] = None
-                    worker_plan = None
+                    delay = 0.0
                     if self.chaos is not None:
                         plan = self.chaos.plan(k, submissions[k])
                         if not plan.any:
                             plan = None
-                        elif plan.delay > 0 or plan.shm_failures > 0:
-                            worker_plan = (plan.delay, plan.shm_failures)
-                            if plan.delay > 0:
-                                counters.counter("chaos.delays").inc()
-                            if plan.shm_failures > 0:
-                                counters.counter("chaos.shm_failures").inc()
+                        elif plan.delay > 0:
+                            delay = plan.delay
+                            counters.counter("chaos.delays").inc()
                     message = (
                         fn, shards[k], self.max_retries, self.retry_backoff,
-                        worker_plan,
+                        delay,
                     )
                     try:
                         worker.conn.send(message)

@@ -1,10 +1,9 @@
-"""Columnar replay: one serve loop over structured-array requests.
+"""Columnar replay: one serve loop over the trace's request columns.
 
 The reference event loop in :mod:`repro.disk.simulator` asks a scheduler
 object for every decision and steps the drive one Python method call per
-request. The loop here consumes the
-:data:`~repro.traces.millisecond.REQUEST_DTYPE` structured array built
-once per replay, over plain Python scalars, with one pick step per
+request. The loop here reads the same four per-request arrays (arrival,
+LBA, length, direction) as plain Python scalars, with one pick step per
 discipline and two serve steps:
 
 * **pick** — FCFS serves in arrival order with no queue at all; SSTF
@@ -80,22 +79,24 @@ class Replay(NamedTuple):
     cache_tally: Tuple[int, int, int]
 
 
-def run_fcfs_columnar(drive, columns: np.ndarray) -> Replay:
+def run_fcfs_columnar(drive, arrivals, lbas, sizes, is_write) -> Replay:
     """FCFS: arrival order, no queue."""
-    return _replay(drive, columns, None)
+    return _replay(drive, arrivals, lbas, sizes, is_write, None)
 
 
-def run_sstf_columnar(drive, columns: np.ndarray) -> Replay:
+def run_sstf_columnar(drive, arrivals, lbas, sizes, is_write) -> Replay:
     """SSTF with full queue visibility."""
-    return _replay(drive, columns, len(columns))
+    return _replay(drive, arrivals, lbas, sizes, is_write, len(arrivals))
 
 
-def run_sstf_windowed_columnar(drive, columns: np.ndarray, queue_depth: int) -> Replay:
+def run_sstf_windowed_columnar(
+    drive, arrivals, lbas, sizes, is_write, queue_depth: int
+) -> Replay:
     """SSTF over the ``queue_depth`` oldest pending requests (NCQ)."""
-    return _replay(drive, columns, queue_depth)
+    return _replay(drive, arrivals, lbas, sizes, is_write, queue_depth)
 
 
-def _precompute(drive: DiskDrive, columns: np.ndarray):
+def _precompute(drive: DiskDrive, lbas: np.ndarray, sizes: np.ndarray):
     """Request-independent per-run tables and seek-curve constants.
 
     The seek constants replicate :meth:`SeekProfile.seek_time` exactly:
@@ -104,8 +105,6 @@ def _precompute(drive: DiskDrive, columns: np.ndarray):
     ``t_boundary + slope * (d - b)`` reproduce its results bit for bit
     (``math.sqrt`` and ``np.sqrt`` agree on float64).
     """
-    lbas = columns["lba"]
-    sizes = columns["size"]
     geometry = drive.geometry
     rotation = rotation_time(drive.spec.rpm)
     cyl_start = geometry.cylinders_of(lbas).tolist()
@@ -133,7 +132,14 @@ def _precompute(drive: DiskDrive, columns: np.ndarray):
     )
 
 
-def _replay(device, columns: np.ndarray, window: Optional[int]) -> Replay:
+def _replay(
+    device,
+    arrivals: np.ndarray,
+    lbas: np.ndarray,
+    sizes: np.ndarray,
+    is_write: np.ndarray,
+    window: Optional[int],
+) -> Replay:
     """The serve loop. ``window=None`` serves in arrival order (FCFS);
     an integer serves SSTF over the ``window`` oldest pending requests.
 
@@ -146,11 +152,11 @@ def _replay(device, columns: np.ndarray, window: Optional[int]) -> Replay:
     kept, as the event loop's queue keeps them, because fault reassignment
     can move a request's cylinder while it waits.
     """
-    n = len(columns)
-    arrival_list = columns["time"].tolist()
-    lba_list = columns["lba"].tolist()
-    size_list = columns["size"].tolist()
-    write_list = columns["is_write"].tolist()
+    n = len(arrivals)
+    arrival_list = arrivals.tolist()
+    lba_list = lbas.tolist()
+    size_list = sizes.tolist()
+    write_list = is_write.tolist()
     fcfs = window is None
     faults = device.faults
     hooked = (
@@ -165,11 +171,11 @@ def _replay(device, columns: np.ndarray, window: Optional[int]) -> Replay:
         head = device.head_cylinder
         keys = [0] * n  # queue key of each request, set at admission
     else:
-        nbytes_list = (columns["size"] * SECTOR_BYTES).tolist()
+        nbytes_list = (sizes * SECTOR_BYTES).tolist()
         (
             cyl_start, cyl_end, media_list, rotation,
             single, t_boundary, k, slope, boundary, max_distance,
-        ) = _precompute(device, columns)
+        ) = _precompute(device, lbas, sizes)
         keys = cyl_start
         config = device.spec.cache
         read_ahead = config.read_ahead

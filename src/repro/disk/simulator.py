@@ -18,13 +18,11 @@ run so heavy traces replay as fast as the discipline allows:
   evaluated with ``np.maximum.accumulate`` over cumulative sums — no
   Python loop at all;
 * the **columnar serve loop** (:mod:`repro.disk.columnar`) — every other
-  FCFS and SSTF run, full or NCQ-windowed, over the structured-array
-  request representation
-  (:data:`~repro.traces.millisecond.REQUEST_DTYPE`, built once per
-  replay). A bare drive is served with its decision logic inlined; a
-  fault model, tier or trace-level observer is served through the
-  device's own per-access hooks. Both are bit-identical to the
-  reference loop;
+  FCFS and SSTF run, full or NCQ-windowed, over the same per-request
+  arrays the event loop reads. A bare drive is served with its decision
+  logic inlined; a fault model, tier or trace-level observer is served
+  through the device's own per-access hooks. Both are bit-identical to
+  the reference loop;
 * the **event loop** — the reference, and the path for SCAN and any
   custom scheduler: the queue is kept in arrival order and windowed runs
   slice the oldest ``queue_depth`` entries in O(queue_depth).
@@ -60,7 +58,7 @@ from repro.errors import SimulationError
 from repro.obs import Observer
 from repro.stats.moments import describe, SampleDescription
 from repro.tier import TierConfig, TieredDevice
-from repro.traces.millisecond import RequestTrace, build_request_columns
+from repro.traces.millisecond import RequestTrace
 
 
 class SimulationResult:
@@ -378,19 +376,14 @@ class DiskSimulator:
                 drive, arrivals, lbas, sizes
             )
             replay = Replay(start_times, service_times, np.arange(n), [], (0, 0, 0))
+        elif type(scheduler) is FcfsScheduler:
+            replay = run_fcfs_columnar(device, arrivals, lbas, sizes, trace.is_write)
+        elif self.queue_depth is None:
+            replay = run_sstf_columnar(device, arrivals, lbas, sizes, trace.is_write)
         else:
-            # Remapping rewrites LBAs/sizes, so only unremapped runs can
-            # share the trace's memoized build.
-            if lbas is trace.lbas and sizes is trace.nsectors:
-                columns = trace.columns()
-            else:
-                columns = build_request_columns(arrivals, lbas, sizes, trace.is_write)
-            if type(scheduler) is FcfsScheduler:
-                replay = run_fcfs_columnar(device, columns)
-            elif self.queue_depth is None:
-                replay = run_sstf_columnar(device, columns)
-            else:
-                replay = run_sstf_windowed_columnar(device, columns, self.queue_depth)
+            replay = run_sstf_windowed_columnar(
+                device, arrivals, lbas, sizes, trace.is_write, self.queue_depth
+            )
 
         drive_name = drive.spec.name
         tier_hits: Optional[np.ndarray] = None

@@ -34,16 +34,7 @@ from repro.traces.io import (
     write_request_trace,
 )
 from repro.traces.ops import jitter, superpose, thin, time_scale, truncate
-from repro.traces.shared import (
-    InlineTraceSource,
-    SharedTracePublisher,
-    SharedTraceSource,
-    TracePublication,
-    publish_trace,
-    reap_orphaned_segments,
-)
 from repro.traces.collector import CounterLogger, RequestCollector
-from repro.traces.formats import read_msr_trace, read_spc_trace
 from repro.traces.validate import (
     validate_family,
     validate_hourly,
@@ -78,12 +69,4 @@ __all__ = [
     "truncate",
     "RequestCollector",
     "CounterLogger",
-    "SharedTracePublisher",
-    "SharedTraceSource",
-    "InlineTraceSource",
-    "TracePublication",
-    "publish_trace",
-    "reap_orphaned_segments",
-    "read_spc_trace",
-    "read_msr_trace",
 ]

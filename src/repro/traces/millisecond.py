@@ -17,40 +17,6 @@ from repro.errors import TraceError
 from repro.traces.request import DiskRequest
 from repro.units import SECTOR_BYTES
 
-#: The columnar request layout: one structured row per request, built once
-#: per replay and consumed by the simulator's columnar serve loop (and by
-#: :mod:`repro.traces.shared` for zero-pickle dispatch). ``flags`` is a
-#: reserved per-request byte, zero for now.
-REQUEST_DTYPE = np.dtype(
-    [
-        ("time", np.float64),
-        ("lba", np.int64),
-        ("size", np.int64),
-        ("is_write", np.bool_),
-        ("flags", np.uint8),
-    ]
-)
-
-
-def build_request_columns(
-    times: np.ndarray,
-    lbas: np.ndarray,
-    nsectors: np.ndarray,
-    is_write: np.ndarray,
-) -> np.ndarray:
-    """Pack parallel request arrays into one read-only structured array
-    with :data:`REQUEST_DTYPE` — the columnar representation the replay
-    engines consume without materializing per-request Python objects."""
-    n = len(times)
-    columns = np.empty(n, dtype=REQUEST_DTYPE)
-    columns["time"] = times
-    columns["lba"] = lbas
-    columns["size"] = nsectors
-    columns["is_write"] = is_write
-    columns["flags"] = 0
-    columns.setflags(write=False)
-    return columns
-
 
 class RequestTrace:
     """An immutable, time-sorted sequence of disk requests.
@@ -153,7 +119,6 @@ class RequestTrace:
                     )
         for column in (self._times, self._lbas, self._nsectors, self._is_write):
             column.setflags(write=False)
-        self._columns: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -210,16 +175,6 @@ class RequestTrace:
     def nbytes(self) -> np.ndarray:
         """Per-request transfer sizes in bytes."""
         return self._nsectors * SECTOR_BYTES
-
-    def columns(self) -> np.ndarray:
-        """The trace as one read-only :data:`REQUEST_DTYPE` structured
-        array, built on first use and memoized (the trace is immutable,
-        so every replay of the same trace shares one build)."""
-        if self._columns is None:
-            self._columns = build_request_columns(
-                self._times, self._lbas, self._nsectors, self._is_write
-            )
-        return self._columns
 
     # ------------------------------------------------------------------
     # Basic shape

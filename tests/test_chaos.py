@@ -1,8 +1,7 @@
 """The deterministic chaos-injection harness (`repro.core.chaos`).
 
 The property the whole harness exists for: a suite running under
-sustained chaos — kills, stalls, delays, shared-memory attach failures —
-completes with a merged report canonically identical to an
+sustained chaos — kills, stalls, delays — completes with a merged report canonically identical to an
 uninterrupted clean run, the retries and worker respawns doing the
 repair work.
 """
@@ -46,7 +45,7 @@ class TestChaosPolicyValidation:
             dict(kill_prob=1.5),
             dict(stall_prob=-0.1),
             dict(delay_prob=2.0),
-            dict(shm_fail_prob=-1.0),
+            dict(delay_prob=float("nan")),
             dict(kill_delay=-0.1),
             dict(stall_seconds=-1.0),
             dict(delay_seconds=-0.5),
@@ -69,8 +68,7 @@ class TestChaosPolicyValidation:
 class TestDeterminism:
     def test_plan_is_pure(self):
         policy = ChaosPolicy(
-            seed=5, kill_prob=0.5, stall_prob=0.5,
-            delay_prob=0.5, shm_fail_prob=0.5,
+            seed=5, kill_prob=0.5, stall_prob=0.5, delay_prob=0.5,
         )
         for index in range(8):
             for attempt in (1, 2, 3):
@@ -111,7 +109,6 @@ class TestPresets:
         heavy = get_chaos_policy("heavy")
         assert light.active and heavy.active
         assert light.kill_prob < heavy.kill_prob
-        assert light.shm_fail_prob < heavy.shm_fail_prob
 
     def test_reseeding_keeps_the_recipe(self):
         base = get_chaos_policy("moderate")
@@ -160,38 +157,20 @@ class TestSuiteUnderChaos:
         assert report.resilience.get("chaos.kills", 0) >= 1
         assert report.resilience.get("suite.resubmissions", 0) >= 1
 
-    def test_shm_failure_leg_is_absorbed_by_worker_retries(
-        self, web_trace, tiny_spec
-    ):
-        # Publish the trace into shared memory, then inject attach
-        # failures: the in-worker retry ladder must absorb them and the
-        # replayed numbers must match the unpublished trace exactly.
-        from repro.core.runner import ExperimentJob
-        from repro.traces import publish_trace
-
-        with publish_trace(web_trace) as publication:
-            job = ExperimentJob(
-                profile=None,
-                drive=tiny_spec,
-                seed=3,
-                trace=publication.source,
-            )
-            chaos = ChaosPolicy(seed=0, shm_fail_prob=1.0)
-            report = ExperimentRunner(
-                workers=2, max_retries=2, chaos=chaos
-            ).run_suite([job, job])
-            assert report.ok
-            assert report.resilience.get("chaos.shm_failures", 0) >= 1
-            baseline = ExperimentRunner(workers=1).run_suite([job])
-        for result in report.results:
-            assert result.mean_response == baseline.results[0].mean_response
-            assert result.n_requests == baseline.results[0].n_requests
-
     def test_inline_mode_applies_worker_side_legs(self, jobs):
         chaos = ChaosPolicy(seed=2, delay_prob=1.0, delay_seconds=0.01)
         report = ExperimentRunner(workers=1, chaos=chaos).run_suite(jobs[:2])
         assert report.ok
         assert report.resilience.get("chaos.delays", 0) == 2
+
+    def test_counters_name_only_legs_that_acted(self, jobs):
+        # Inline mode can only act on the delay leg, so the report must
+        # name no other leg, whatever the preset arms.
+        chaos = get_chaos_policy("heavy", seed=2)
+        report = ExperimentRunner(workers=1, chaos=chaos).run_suite(jobs)
+        assert report.ok
+        delayed = sum(chaos.plan(k, 1).delay > 0 for k in range(len(jobs)))
+        assert report.resilience == ({"chaos.delays": delayed} if delayed else {})
 
     def test_inactive_chaos_is_dropped(self, jobs):
         runner = ExperimentRunner(workers=1, chaos=ChaosPolicy())

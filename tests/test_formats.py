@@ -1,9 +1,17 @@
-"""Public trace-format importers."""
+"""SPC and MSR Cambridge files read through the ingest parser registry."""
 
 import pytest
 
 from repro.errors import TraceFormatError
-from repro.traces.formats import read_msr_trace, read_spc_trace
+from repro.traces.ingest import get_parser
+
+
+def parse_spc(path, asu=None, **kwargs):
+    return get_parser("spc", asu=asu).parse(path, **kwargs)
+
+
+def parse_msr(path, disknum=None, **kwargs):
+    return get_parser("msr", disknum=disknum).parse(path, **kwargs)
 
 
 @pytest.fixture
@@ -34,7 +42,7 @@ def msr_file(tmp_path):
 
 class TestSpc:
     def test_reads_all_asus(self, spc_file):
-        trace = read_spc_trace(spc_file)
+        trace = parse_spc(spc_file)
         assert len(trace) == 4
         assert trace.times[0] == 0.0  # normalized to start at 0
         assert trace.times[-1] == pytest.approx(0.5)
@@ -42,83 +50,83 @@ class TestSpc:
         assert trace.is_write.tolist() == [False, True, False, True]
 
     def test_asu_filter(self, spc_file):
-        trace = read_spc_trace(spc_file, asu=0)
+        trace = parse_spc(spc_file, asu=0)
         assert len(trace) == 3
         assert not trace.is_write[:2].any()
 
     def test_max_requests(self, spc_file):
-        assert len(read_spc_trace(spc_file, max_requests=2)) == 2
+        assert len(parse_spc(spc_file, max_requests=2)) == 2
 
     def test_label_defaults_to_stem(self, spc_file):
-        assert read_spc_trace(spc_file).label == "financial"
-        assert read_spc_trace(spc_file, label="x").label == "x"
+        assert parse_spc(spc_file).label == "financial"
+        assert parse_spc(spc_file, label="x").label == "x"
 
     def test_no_match_rejected(self, spc_file):
         with pytest.raises(TraceFormatError):
-            read_spc_trace(spc_file, asu=99)
+            parse_spc(spc_file, asu=99)
 
     def test_bad_opcode_rejected(self, tmp_path):
         path = tmp_path / "bad.spc"
         path.write_text("0,0,512,X,0.0\n")
         with pytest.raises(TraceFormatError):
-            read_spc_trace(path)
+            parse_spc(path)
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "bad.spc"
         path.write_text("0,0,512\n")
         with pytest.raises(TraceFormatError):
-            read_spc_trace(path)
+            parse_spc(path)
 
     def test_malformed_number_rejected(self, tmp_path):
         path = tmp_path / "bad.spc"
         path.write_text("0,zero,512,R,0.0\n")
         with pytest.raises(TraceFormatError):
-            read_spc_trace(path)
+            parse_spc(path)
 
     def test_nonphysical_rejected(self, tmp_path):
         path = tmp_path / "bad.spc"
         path.write_text("0,0,0,R,0.0\n")
         with pytest.raises(TraceFormatError):
-            read_spc_trace(path)
+            parse_spc(path)
 
 
 class TestMsr:
     def test_reads_and_converts(self, msr_file):
-        trace = read_msr_trace(msr_file)
+        trace = parse_msr(msr_file)
         assert len(trace) == 3
         assert trace.times.tolist() == [0.0, 1.0, 2.0]  # seconds from start
         assert trace.lbas[0] == 1000  # 512000 bytes / 512
         assert trace.is_write.tolist() == [False, True, True]
 
     def test_disk_filter(self, msr_file):
-        trace = read_msr_trace(msr_file, disknum=0)
+        trace = parse_msr(msr_file, disknum=0)
         assert len(trace) == 2
 
     def test_max_requests(self, msr_file):
-        assert len(read_msr_trace(msr_file, max_requests=1)) == 1
+        assert len(parse_msr(msr_file, max_requests=1)) == 1
 
     def test_no_match_rejected(self, msr_file):
         with pytest.raises(TraceFormatError):
-            read_msr_trace(msr_file, disknum=7)
+            parse_msr(msr_file, disknum=7)
 
     def test_bad_type_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,h,0,Erase,0,512,0\n")
         with pytest.raises(TraceFormatError):
-            read_msr_trace(path)
+            parse_msr(path)
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,h,0,Read,0\n")
         with pytest.raises(TraceFormatError):
-            read_msr_trace(path)
+            parse_msr(path)
 
 
 class TestEndToEnd:
     def test_imported_trace_analyzable(self, spc_file, tiny_spec):
         from repro.core.timescales import run_millisecond_study
 
-        trace = read_spc_trace(spc_file)
+        trace = parse_spc(spc_file)
         # The toy file spans half a second: use a sub-second window scale.
         study = run_millisecond_study(trace, tiny_spec, utilization_scales=(0.1,))
         assert study.summary.n_requests == 4
