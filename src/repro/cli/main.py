@@ -231,26 +231,6 @@ def _cmd_synth_family(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze_ms(args: argparse.Namespace) -> int:
-    trace = _load_trace(args)
-    drive = _drive(args.drive)
-    faults = _fault_profile(args.fault_profile)
-    tier = _tier_config(args)
-    obs = _observer_from_args(args)
-    study = run_millisecond_study(
-        trace, drive, scheduler=args.scheduler, faults=faults, tier=tier, obs=obs
-    )
-    print(_render_study(study, drive))
-    if faults is not None:
-        print(_fault_section(study.simulation))
-    if tier is not None:
-        print(_tier_section(study.simulation))
-    if obs is not None:
-        print(_obs_section(obs))
-        _dump_trace_events(obs, args.trace_events)
-    return 0
-
-
 def _cmd_study(args: argparse.Namespace) -> int:
     drive = _drive(args.drive)
     if (args.profile is None) == (args.trace is None):
@@ -697,20 +677,10 @@ def _cmd_run_suite(args: argparse.Namespace) -> int:
             print(f"wrote {written} trace events to {args.trace_events}")
         if faults is not None:
             extra["fault_profile"] = faults.name
-            extra["fault_summary"] = {
-                "n_faulted": report.n_faulted,
-                "n_failed_requests": report.n_failed_requests,
-                "fault_penalty_seconds": report.fault_penalty_seconds,
-            }
+            extra["fault_summary"] = report.fault_summary()
         if tier is not None:
             extra["tier"] = tier.name
-            extra["tier_summary"] = {
-                "n_tiered_jobs": len(report.tiered_results),
-                "hit_rate": report.tier_hit_rate,
-                "hdd_offload": report.tier_hdd_offload,
-                "flushed_bytes": report.tier_flushed_bytes,
-                "migrated_chunks": report.tier_migrated_chunks,
-            }
+            extra["tier_summary"] = report.tier_summary()
         return extra
 
     return _run_suite_command(
@@ -916,12 +886,14 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: lru)",
         )
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        from repro.traces.ingest import available_formats
+    from repro.traces.ingest import available_formats
 
+    trace_formats = ["native"] + sorted(available_formats())
+
+    def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--format", default="native",
-            choices=["native"] + sorted(available_formats()),
+            choices=trace_formats,
             help="trace file format (default: native, this library's CSV)",
         )
         p.add_argument(
@@ -1013,7 +985,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_faults(p)
     add_tier(p)
     add_obs(p)
-    p.set_defaults(func=_cmd_analyze_ms)
+    # The same pipeline as ``study --trace``.
+    p.set_defaults(func=_cmd_study, profile=None)
 
     p = sub.add_parser(
         "ingest",
@@ -1021,10 +994,8 @@ def build_parser() -> argparse.ArgumentParser:
         "a synthetic twin",
     )
     p.add_argument("trace")
-    from repro.traces.ingest import available_formats as _available_formats
-
     p.add_argument(
-        "--format", required=True, choices=sorted(_available_formats()),
+        "--format", required=True, choices=sorted(available_formats()),
         help="source trace format",
     )
     p.add_argument(
@@ -1083,7 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(mutually exclusive with --profiles)",
     )
     p.add_argument(
-        "--trace-format", default="native",
+        "--trace-format", default="native", choices=trace_formats,
         help="format of the --trace files: native or any ingest format "
         "(default: native)",
     )

@@ -706,6 +706,24 @@ class SuiteReport:
             merged = shard if merged is None else merged.merge(shard)
         return merged
 
+    def fault_summary(self) -> Dict[str, Any]:
+        """Suite-wide degraded-mode rollup for reports and JSON."""
+        return {
+            "n_faulted": self.n_faulted,
+            "n_failed_requests": self.n_failed_requests,
+            "fault_penalty_seconds": self.fault_penalty_seconds,
+        }
+
+    def tier_summary(self) -> Dict[str, Any]:
+        """Suite-wide tier rollup for reports and JSON."""
+        return {
+            "n_tiered_jobs": len(self.tiered_results),
+            "hit_rate": self.tier_hit_rate,
+            "hdd_offload": self.tier_hdd_offload,
+            "flushed_bytes": self.tier_flushed_bytes,
+            "migrated_chunks": self.tier_migrated_chunks,
+        }
+
     def as_dict(self) -> Dict[str, Any]:
         payload = {
             "n_jobs": self.n_jobs,
@@ -714,22 +732,12 @@ class SuiteReport:
             "wall_seconds": self.wall_seconds,
             "results": [r.as_dict() for r in self.results],
             "failures": [f.as_dict() for f in self.failures],
-            "fault_summary": {
-                "n_faulted": self.n_faulted,
-                "n_failed_requests": self.n_failed_requests,
-                "fault_penalty_seconds": self.fault_penalty_seconds,
-            },
+            "fault_summary": self.fault_summary(),
         }
         # Only when some job actually ran tiered — untiered suites
         # serialize exactly as they did before the tier existed.
         if self.tiered_results:
-            payload["tier_summary"] = {
-                "n_tiered_jobs": len(self.tiered_results),
-                "hit_rate": self.tier_hit_rate,
-                "hdd_offload": self.tier_hdd_offload,
-                "flushed_bytes": self.tier_flushed_bytes,
-                "migrated_chunks": self.tier_migrated_chunks,
-            }
+            payload["tier_summary"] = self.tier_summary()
         # Only when some job carried tenants — single-workload suites
         # serialize exactly as they did before the fleet existed.
         if self.tenant_results:

@@ -1,42 +1,39 @@
-"""Columnar replay: one serve loop over the trace's request columns.
+"""Columnar replay: every fast engine, over the trace's request columns.
 
 The reference event loop in :mod:`repro.disk.simulator` asks a scheduler
 object for every decision and steps the drive one Python method call per
-request. The loop here reads the same four per-request arrays (arrival,
-LBA, length, direction) as plain Python scalars, with one pick step per
-discipline and two serve steps:
+request. The engines here read the same four per-request arrays
+(arrival, LBA, length, direction) and one precompute of each request's
+cylinders and media time:
 
-* **pick** — FCFS serves in arrival order with no queue at all; SSTF
-  keeps the ``window`` oldest pending requests in a cylinder-sorted list
-  (everything younger waits in a FIFO backlog) and picks with the shared
-  :func:`~repro.disk.scheduler.pick_from_sorted` bisect kernel. Full SSTF
-  is the window with no depth limit; NCQ-windowed SSTF is the event
-  loop's arrival-ordered ``queue[:queue_depth]`` slice without
-  rebuilding or rescanning it per decision.
-* **serve, bare drive** — a :class:`~repro.disk.drive.DiskDrive` with no
-  fault model and no trace-level observer: the drive's decision logic is
-  inlined, with geometry and media times precomputed in vectorized
-  passes, seek-curve constants hoisted and rotational-latency draws
-  block-buffered from the drive's own RNG. Cache and head state are
-  exported from the drive before the loop and imported back after it, so
-  post-run drive state matches a scalar replay; cache counters are
-  tallied locally for metrics-level observers.
-* **serve, hooked device** — a fault model, a
-  :class:`~repro.tier.TieredDevice` or a trace-level observer needs the
-  per-access hooks, so each serve calls ``device.service_time`` and
-  collects ``take_fault_event()``. Queue keys come from
-  ``device.cylinder_of`` at admission and the head from
-  ``device.head_cylinder``, exactly as the event loop reads them.
+* **batched FCFS** — a bare :class:`~repro.disk.drive.DiskDrive` with its
+  cache off serves every request as a media access in arrival order, so
+  the run is array passes ending in the start-time recurrence
+  ``finish[i] = max(arrival[i], finish[i-1]) + service[i]``;
+* **the serve loop** — every other FCFS and SSTF run. FCFS serves in
+  arrival order with no queue; SSTF keeps the ``window`` oldest pending
+  requests in a cylinder-sorted list (younger ones wait in a FIFO
+  backlog) and picks with the shared
+  :func:`~repro.disk.scheduler.pick_from_sorted` bisect kernel. A bare
+  drive (no fault model, no trace-level observer) has its decision logic
+  inlined, exporting cache and head state before the loop and importing
+  it after, and tallies cache counters locally. A fault model, a
+  :class:`~repro.tier.TieredDevice` or a trace-level observer makes the
+  device *hooked*: each serve calls ``device.service_time`` and collects
+  ``take_fault_event()``, with queue keys read from ``device.cylinder_of``
+  at admission, exactly as the event loop reads them.
 
-Both serve steps are *twins* of the event loop, not approximations: the
-same decisions, in the same order, with the same floating-point
-operations and the same RNG draw sequence as
+Both are *twins* of the event loop, not approximations: the same
+decisions, float operations and RNG draw sequence as
 :meth:`repro.disk.drive.DiskDrive.service_time` driven by the reference
-loop. The bare step draws rotational latencies in serve order
-(``Generator.uniform(0, h, size=n)`` yields the same value sequence as
-``n`` scalar draws, so only the *unused tail* of the final block leaves
-the generator further advanced than a scalar replay would). Bit-identity
-is pinned by ``tests/test_simulator_fast.py`` and the hypothesis sweep in
+loop, with the seek curve read from
+:attr:`~repro.disk.mechanics.SeekProfile.curve`. Rotational latencies
+are drawn in serve order (``Generator.uniform(0, h, size=n)`` yields the
+same values as ``n`` scalar draws; the loop's block buffer leaves only
+an unused tail drawn past a scalar replay). The batched recurrence
+reassociates float additions (within 1e-9, clamped so no request starts
+before it arrives). Equivalence is pinned by
+``tests/test_simulator_fast.py`` and the hypothesis sweep in
 ``tests/test_simulator.py``.
 """
 
@@ -79,57 +76,88 @@ class Replay(NamedTuple):
     cache_tally: Tuple[int, int, int]
 
 
-def run_fcfs_columnar(drive, arrivals, lbas, sizes, is_write) -> Replay:
-    """FCFS: arrival order, no queue."""
-    return _replay(drive, arrivals, lbas, sizes, is_write, None)
+def run_fcfs_columnar(device, arrivals, lbas, sizes, is_write) -> Replay:
+    """FCFS: arrival order, no queue. A bare drive with its cache off is
+    served in one batched pass; every other device through the loop."""
+    if (
+        isinstance(device, DiskDrive)
+        and device.faults is None
+        and not device.spec.cache.read_ahead
+        and not device.spec.cache.write_back
+    ):
+        return _serve_batched(device, arrivals, lbas, sizes)
+    return _replay(device, arrivals, lbas, sizes, is_write, None)
 
 
-def run_sstf_columnar(drive, arrivals, lbas, sizes, is_write) -> Replay:
+def run_sstf_columnar(device, arrivals, lbas, sizes, is_write) -> Replay:
     """SSTF with full queue visibility."""
-    return _replay(drive, arrivals, lbas, sizes, is_write, len(arrivals))
+    return _replay(device, arrivals, lbas, sizes, is_write, len(arrivals))
 
 
 def run_sstf_windowed_columnar(
-    drive, arrivals, lbas, sizes, is_write, queue_depth: int
+    device, arrivals, lbas, sizes, is_write, queue_depth: int
 ) -> Replay:
     """SSTF over the ``queue_depth`` oldest pending requests (NCQ)."""
-    return _replay(drive, arrivals, lbas, sizes, is_write, queue_depth)
+    return _replay(device, arrivals, lbas, sizes, is_write, queue_depth)
 
 
 def _precompute(drive: DiskDrive, lbas: np.ndarray, sizes: np.ndarray):
-    """Request-independent per-run tables and seek-curve constants.
-
-    The seek constants replicate :meth:`SeekProfile.seek_time` exactly:
-    the boundary/stroke terms are the same float64 values the scalar
-    method recomputes per call, so ``single + k * (sqrt(d) - 1.0)`` and
-    ``t_boundary + slope * (d - b)`` reproduce its results bit for bit
-    (``math.sqrt`` and ``np.sqrt`` agree on float64).
-    """
+    """``(cyl_start, cyl_end, media, rotation)``: each request's first and
+    last cylinder and media time, with :meth:`DiskDrive.service_time`'s
+    float operations."""
     geometry = drive.geometry
     rotation = rotation_time(drive.spec.rpm)
-    cyl_start = geometry.cylinders_of(lbas).tolist()
-    cyl_end = geometry.cylinders_of(lbas + sizes - 1).tolist()
-    media = (sizes * rotation / geometry.sectors_per_track_of(lbas)).tolist()
-    seek = drive.seek
-    boundary = seek._boundary
-    sqrt_b = np.sqrt(boundary)
-    t_boundary = seek.single_cylinder + (
-        seek.full_stroke - seek.single_cylinder
-    ) * (sqrt_b - 1.0) / (np.sqrt(seek.max_distance) - 1.0)
-    k = (t_boundary - seek.single_cylinder) / (sqrt_b - 1.0)
-    slope = (seek.full_stroke - t_boundary) / (seek.max_distance - boundary)
-    return (
-        cyl_start,
-        cyl_end,
-        media,
-        rotation,
-        float(seek.single_cylinder),
-        float(t_boundary),
-        float(k),
-        float(slope),
-        boundary,
-        seek.max_distance,
+    cyl_start = geometry.cylinders_of(lbas)
+    cyl_end = geometry.cylinders_of(lbas + sizes - 1)
+    media = sizes * rotation / geometry.sectors_per_track_of(lbas)
+    return cyl_start, cyl_end, media, rotation
+
+
+def _serve_batched(
+    drive: DiskDrive, arrivals: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
+) -> Replay:
+    """FCFS on a bare drive with its cache off, in array passes: one
+    rotational-latency draw per non-contiguous access, and the recurrence
+    unrolled to ``finish = cumsum(service) + running_max(arrival -
+    exclusive_cumsum)``. Drive state ends where a scalar replay leaves it.
+    """
+    n = len(arrivals)
+    cyl_start, cyl_end, media, rotation = _precompute(drive, lbas, sizes)
+    head, last_media_end = drive.export_kinematics()
+    ends = lbas + sizes
+    prev_end = np.roll(ends, 1)
+    prev_end[:1] = last_media_end
+    contiguous = lbas == prev_end
+    prev_cyl = np.roll(cyl_end, 1)
+    prev_cyl[:1] = head
+    distances = np.minimum(np.abs(cyl_start - prev_cyl), drive.seek.max_distance)
+
+    latencies = np.zeros(n, dtype=np.float64)
+    noncontiguous = ~contiguous
+    draws = int(noncontiguous.sum())
+    if draws:
+        latencies[noncontiguous] = drive._rng.uniform(0.0, rotation, size=draws)
+    single, t_boundary, k, slope = drive.seek.curve
+    boundary = drive.seek._boundary
+    seeks = np.where(
+        distances <= boundary,
+        single + k * (np.sqrt(distances) - 1.0),
+        t_boundary + slope * (distances - boundary),
     )
+    seeks = np.where(distances == 0, 0.0, seeks)
+    positioning = np.where(contiguous, 0.0, seeks + latencies)
+    services = drive.spec.command_overhead + positioning + media
+
+    cumulative = np.cumsum(services)
+    exclusive = np.roll(cumulative, 1)
+    exclusive[:1] = 0.0
+    slack = np.maximum.accumulate(arrivals - exclusive)
+    # Clamp so float reassociation can never start a request before it
+    # arrives (the event loop guarantees this exactly).
+    starts = np.maximum(exclusive + slack, arrivals)
+    if n:
+        drive.import_kinematics(int(cyl_end[-1]), int(ends[-1]))
+    return Replay(starts, services, np.arange(n), [], (0, 0, 0))
 
 
 def _replay(
@@ -172,11 +200,12 @@ def _replay(
         keys = [0] * n  # queue key of each request, set at admission
     else:
         nbytes_list = (sizes * SECTOR_BYTES).tolist()
-        (
-            cyl_start, cyl_end, media_list, rotation,
-            single, t_boundary, k, slope, boundary, max_distance,
-        ) = _precompute(device, lbas, sizes)
+        *columns, rotation = _precompute(device, lbas, sizes)
+        cyl_start, cyl_end, media_list = (column.tolist() for column in columns)
         keys = cyl_start
+        single, t_boundary, k, slope = device.seek.curve
+        boundary = device.seek._boundary
+        max_distance = device.seek.max_distance
         config = device.spec.cache
         read_ahead = config.read_ahead
         write_back = config.write_back

@@ -5,6 +5,10 @@
 geometry, seek curve, rotation, cache and head position into a service
 time per request.
 
+The fast replay engines in :mod:`repro.disk.columnar` serve a bare drive
+by inlining :meth:`DiskDrive.service_time` over precomputed per-request
+geometry, so the two must change in lockstep.
+
 The presets approximate the enterprise drive classes of the paper's era:
 a 10K-RPM mainstream enterprise drive (the family the Lifetime traces
 would cover), a 15K-RPM performance drive, and a 7200-RPM nearline drive.
@@ -153,8 +157,8 @@ class DiskDrive:
         self._last_fault = None
         #: Optional :class:`~repro.obs.Observer`; attached by the
         #: simulator at trace level so seeks are recorded as events.
-        #: Never consulted on the vectorized path and never touches the
-        #: RNG, so observed and unobserved runs are bit-identical.
+        #: Never consulted by batched FCFS and never touches the RNG, so
+        #: observed and unobserved runs are bit-identical.
         self.obs = None
 
     def reset(self) -> None:
@@ -261,59 +265,3 @@ class DiskDrive:
                 lba, nsectors, service, now
             )
         return service
-
-    def media_service_times(self, lbas: np.ndarray, nsectors: np.ndarray) -> np.ndarray:
-        """Service times for a batch of requests served back-to-back in
-        the given order, every one as a media access (the cache is
-        bypassed entirely).
-
-        This is the vectorized twin of :meth:`service_time` for the
-        simulator's FCFS fast path: with caching disabled the two agree
-        element for element, including the rotational-latency RNG draws
-        (one per non-contiguous access, in serve order). Head position,
-        the contiguity marker and the RNG advance exactly as a scalar
-        replay would leave them.
-        """
-        lbas = np.asarray(lbas, dtype=np.int64)
-        nsectors = np.asarray(nsectors, dtype=np.int64)
-        n = lbas.size
-        if n == 0:
-            return np.zeros(0, dtype=np.float64)
-        if int(nsectors.min()) <= 0:
-            raise DiskModelError(
-                f"nsectors must be > 0, got {int(nsectors.min())!r}"
-            )
-        ends = lbas + nsectors
-        if int(lbas.min()) < 0 or int(ends.max()) > self.geometry.capacity_sectors:
-            raise DiskModelError(
-                "batch addresses beyond capacity "
-                f"{self.geometry.capacity_sectors}"
-            )
-
-        cyl_start = self.geometry.cylinders_of(lbas)
-        cyl_end = self.geometry.cylinders_of(ends - 1)
-        spt = self.geometry.sectors_per_track_of(lbas)
-
-        prev_end = np.empty(n, dtype=np.int64)
-        prev_end[0] = self._last_media_end
-        prev_end[1:] = ends[:-1]
-        contiguous = lbas == prev_end
-
-        prev_cyl = np.empty(n, dtype=np.int64)
-        prev_cyl[0] = self._head_cylinder
-        prev_cyl[1:] = cyl_end[:-1]
-        distances = np.abs(cyl_start - prev_cyl)
-
-        rotation = rotation_time(self.spec.rpm)
-        latencies = np.zeros(n, dtype=np.float64)
-        noncontiguous = ~contiguous
-        draws = int(noncontiguous.sum())
-        if draws:
-            latencies[noncontiguous] = self._rng.uniform(0.0, rotation, size=draws)
-        positioning = np.where(
-            contiguous, 0.0, self.seek.seek_times(distances) + latencies
-        )
-        media = nsectors * rotation / spt
-        self._head_cylinder = int(cyl_end[-1])
-        self._last_media_end = int(ends[-1])
-        return self.spec.command_overhead + positioning + media

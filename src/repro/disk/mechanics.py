@@ -13,6 +13,9 @@ average, and full-stroke seek time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import sqrt
+from typing import Tuple
 
 import numpy as np
 
@@ -59,6 +62,23 @@ class SeekProfile:
     def _boundary(self) -> int:
         return max(2, int(self.boundary_fraction * self.max_distance))
 
+    @cached_property
+    def curve(self) -> Tuple[float, float, float, float]:
+        """``(single, t_boundary, k, slope)``, derived once per profile and
+        read by every evaluation of the curve (:meth:`seek_time` and the
+        engines in :mod:`repro.disk.columnar`): ``single + k * (sqrt(d) -
+        1)`` up to the boundary ``b``, ``t_boundary + slope * (d - b)``
+        past it, pinned so ``t(1) = single_cylinder``."""
+        single = self.single_cylinder
+        b = self._boundary
+        sqrt_b = sqrt(b)
+        t_boundary = single + (self.full_stroke - single) * (sqrt_b - 1.0) / (
+            sqrt(self.max_distance) - 1.0
+        )
+        k = (t_boundary - single) / (sqrt_b - 1.0)
+        slope = (self.full_stroke - t_boundary) / (self.max_distance - b)
+        return float(single), float(t_boundary), float(k), float(slope)
+
     def seek_time(self, distance: int) -> float:
         """Seek time in seconds for a move of ``distance`` cylinders.
 
@@ -70,39 +90,11 @@ class SeekProfile:
             raise DiskModelError(f"seek distance must be >= 0, got {distance!r}")
         if distance == 0:
             return 0.0
-        d = min(distance, self.max_distance)
+        single, t_boundary, k, slope = self.curve
         b = self._boundary
-        # sqrt regime: t(d) = single + k * (sqrt(d) - 1), pinned so that
-        # t(1) = single_cylinder and t(b) = t_boundary.
-        t_boundary = self.single_cylinder + (self.full_stroke - self.single_cylinder) * (
-            np.sqrt(b) - 1.0
-        ) / (np.sqrt(self.max_distance) - 1.0)
-        if d <= b:
-            k = (t_boundary - self.single_cylinder) / (np.sqrt(b) - 1.0)
-            return float(self.single_cylinder + k * (np.sqrt(d) - 1.0))
-        slope = (self.full_stroke - t_boundary) / (self.max_distance - b)
-        return float(t_boundary + slope * (d - b))
-
-    def seek_times(self, distances: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`seek_time` over an array of distances.
-
-        Evaluates the same two-regime curve with the same floating-point
-        operations, so each element equals the scalar result exactly.
-        """
-        d = np.asarray(distances, dtype=np.int64)
-        if d.size and int(d.min()) < 0:
-            raise DiskModelError(f"seek distance must be >= 0, got {int(d.min())!r}")
-        d = np.minimum(d, self.max_distance)
-        b = self._boundary
-        t_boundary = self.single_cylinder + (self.full_stroke - self.single_cylinder) * (
-            np.sqrt(b) - 1.0
-        ) / (np.sqrt(self.max_distance) - 1.0)
-        k = (t_boundary - self.single_cylinder) / (np.sqrt(b) - 1.0)
-        slope = (self.full_stroke - t_boundary) / (self.max_distance - b)
-        sqrt_regime = self.single_cylinder + k * (np.sqrt(d) - 1.0)
-        linear_regime = t_boundary + slope * (d - b)
-        times = np.where(d <= b, sqrt_regime, linear_regime)
-        return np.where(d == 0, 0.0, times)
+        if distance <= b:
+            return single + k * (sqrt(distance) - 1.0)
+        return t_boundary + slope * (min(distance, self.max_distance) - b)
 
     def average_seek(self, samples: int = 512) -> float:
         """Mean seek time over uniformly random ordered cylinder pairs,

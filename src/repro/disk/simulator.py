@@ -7,29 +7,22 @@ the busy/idle timeline. This is the substitute for the measurement
 infrastructure the paper had on real drives: instead of observing busy
 and idle on hardware, we observe it on the model.
 
-The replay has three executions of the same queueing model, picked per
-run so heavy traces replay as fast as the discipline allows:
+The replay has two executions of the same queueing model:
 
-* a **vectorized FCFS path** — with FCFS the serve order *is* the arrival
-  order, so when the drive's cache is disabled and there is no fault
-  model or tier to consult per access, the whole run collapses to one
-  batched service-time computation plus the classic
-  ``finish[i] = max(arrival[i], finish[i-1]) + service[i]`` recurrence,
-  evaluated with ``np.maximum.accumulate`` over cumulative sums — no
-  Python loop at all;
-* the **columnar serve loop** (:mod:`repro.disk.columnar`) — every other
-  FCFS and SSTF run, full or NCQ-windowed, over the same per-request
-  arrays the event loop reads. A bare drive is served with its decision
-  logic inlined; a fault model, tier or trace-level observer is served
-  through the device's own per-access hooks. Both are bit-identical to
-  the reference loop;
+* the **columnar engines** (:mod:`repro.disk.columnar`) — every FCFS
+  and SSTF run, full or NCQ-windowed, over the same per-request arrays
+  the event loop reads. FCFS on a bare drive with its cache off is one
+  batched computation; every other run goes through one serve loop,
+  with a bare drive's decision logic inlined and a fault model, tier or
+  trace-level observer served through the device's own per-access
+  hooks;
 * the **event loop** — the reference, and the path for SCAN and any
   custom scheduler: the queue is kept in arrival order and windowed runs
   slice the oldest ``queue_depth`` entries in O(queue_depth).
 
 ``fast_path=False`` forces every run through the reference event loop;
-the equivalence of the fast paths is asserted against it in the test
-suite.
+the equivalence of the columnar engines is asserted against it in the
+test suite.
 """
 
 from __future__ import annotations
@@ -184,6 +177,10 @@ class SimulationResult:
 class DiskSimulator:
     """Replay traces through a drive with a chosen queueing discipline.
 
+    :meth:`run` has two executions: the reference event loop when
+    ``fast_path=False`` or the scheduler is not FCFS/SSTF, otherwise one
+    of the columnar entry points in :mod:`repro.disk.columnar`.
+
     Parameters
     ----------
     drive:
@@ -208,9 +205,9 @@ class DiskSimulator:
         toward FCFS as the window shrinks. ``None`` (default) = the
         scheduler sees everything.
     fast_path:
-        When true (default) FCFS and SSTF runs use the vectorized or
-        columnar executions; when false every run goes through the reference
-        event loop. Results agree — the flag exists for validation and
+        When true (default) FCFS and SSTF runs use the columnar engines;
+        when false every run goes through the reference event loop.
+        Results agree — the flag exists for validation and
         perf-regression measurement.
     faults:
         ``None`` (default) replays against a perfect drive —
@@ -230,10 +227,9 @@ class DiskSimulator:
         :class:`~repro.tier.TieredDevice` around the drive each run, so
         reads that hit flash complete at SSD latency, misses pay the
         drive (plus any synchronous dirty destage), and the result grows
-        ``tier_hits`` / ``tier_summary``. The batched FCFS path cannot
-        consult residency, so a tiered FCFS or SSTF run replays through
-        the columnar loop's hooked serve step (bit-identical to the
-        event loop).
+        ``tier_hits`` / ``tier_summary``. A tiered FCFS or SSTF run
+        replays through the columnar loop's hooked serve step
+        (bit-identical to the event loop).
     obs:
         ``None`` (default) records nothing and is bit-identical to a
         simulator without the parameter. An
@@ -245,8 +241,8 @@ class DiskSimulator:
         engine selection, RNG draws or results — every level is
         bit-identical to ``obs=None`` on every engine (asserted by
         property tests). Per-seek events need the per-request drive
-        hook: at trace level the columnar loop serves through it, but the
-        batched FCFS engine (cache off, no faults, no tier) records
+        hook: at trace level the columnar loop serves through it, but
+        batched FCFS (cache off, no faults, no tier) records
         serve/queue-depth events (reconstructed post-hoc) and no seek
         events; pass ``fast_path=False`` (or enable the cache / a fault
         model / another discipline) to get them.
@@ -355,28 +351,13 @@ class DiskSimulator:
                     f"{capacity}; generate against this drive or pass remap_lbas=True"
                 )
 
-        if n == 0:
-            replay = Replay(np.zeros(0), np.zeros(0), np.arange(0), [], (0, 0, 0))
-        elif not self.fast_path or type(scheduler) not in (FcfsScheduler, SstfScheduler):
+        if not self.fast_path or type(scheduler) not in (FcfsScheduler, SstfScheduler):
             replay = _run_event_loop(
                 device, scheduler, arrivals, lbas, sizes, trace.is_write,
                 self.queue_depth,
             )
-        elif (
-            type(scheduler) is FcfsScheduler
-            and not drive.spec.cache.read_ahead
-            and not drive.spec.cache.write_back
-            and drive.faults is None
-            and device is drive
-        ):
-            # FCFS serves in arrival order regardless of queue depth; with
-            # the cache off and nothing to consult per access, the whole
-            # run is one batched computation.
-            start_times, service_times = _run_fcfs_vectorized(
-                drive, arrivals, lbas, sizes
-            )
-            replay = Replay(start_times, service_times, np.arange(n), [], (0, 0, 0))
         elif type(scheduler) is FcfsScheduler:
+            # FCFS serves in arrival order regardless of queue depth.
             replay = run_fcfs_columnar(device, arrivals, lbas, sizes, trace.is_write)
         elif self.queue_depth is None:
             replay = run_sstf_columnar(device, arrivals, lbas, sizes, trace.is_write)
@@ -419,33 +400,6 @@ class DiskSimulator:
                 scheduler=result.scheduler_name,
             )
         return result
-
-
-# ----------------------------------------------------------------------
-# Execution strategies
-# ----------------------------------------------------------------------
-
-def _run_fcfs_vectorized(
-    drive: DiskDrive,
-    arrivals: np.ndarray,
-    lbas: np.ndarray,
-    sizes: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """FCFS with caching disabled: one batched drive call plus the
-    start-time recurrence, no per-request Python at all.
-
-    ``finish[i] = max(arrival[i], finish[i-1]) + service[i]`` unrolls to
-    ``finish = cumsum(service) + running_max(arrival - exclusive_cumsum)``,
-    which is two O(n) array passes.
-    """
-    service_times = drive.media_service_times(lbas, sizes)
-    cumulative = np.cumsum(service_times)
-    exclusive = np.concatenate(([0.0], cumulative[:-1]))
-    slack = np.maximum.accumulate(arrivals - exclusive)
-    # Clamp so float reassociation can never start a request before it
-    # arrives (the event loop guarantees this exactly).
-    start_times = np.maximum(exclusive + slack, arrivals)
-    return start_times, service_times
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from repro.errors import TraceFormatError
+from repro.traces.ingest.registry import available_formats, get_parser
 from repro.traces.millisecond import RequestTrace
 
 
@@ -44,6 +46,11 @@ class TraceSource:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "path", str(self.path))
+        formats = ["native"] + sorted(available_formats())
+        if self.format not in formats:
+            raise TraceFormatError(
+                f"unknown trace format {self.format!r}; available: {formats}"
+            )
 
     @property
     def label(self) -> str:
@@ -67,8 +74,6 @@ class TraceSource:
                     capacity_sectors=trace.capacity_sectors,
                 )
             return trace
-        from repro.traces.ingest.registry import get_parser
-
         return get_parser(self.format).parse(
             self.path, strict=self.strict, max_requests=self.max_requests
         )

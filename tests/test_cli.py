@@ -187,6 +187,23 @@ def test_parser_rejects_unknown_drive():
         build_parser().parse_args(["study", "--profile", "web", "--drive", "floppy"])
 
 
+def test_run_suite_rejects_unknown_trace_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(
+            ["run-suite", "--trace", "x.csv", "--trace-format", "bogus"]
+        )
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_analyze_ms_is_study_over_a_trace():
+    from repro.cli.main import _cmd_study
+
+    args = build_parser().parse_args(["analyze-ms", "web.csv"])
+    assert args.func is _cmd_study
+    assert args.profile is None and args.trace == "web.csv"
+
+
 def test_suite_commands_share_suite_flags():
     import argparse
 

@@ -244,6 +244,10 @@ class TestTraceSource:
         write_request_trace(trace, native)
         assert len(TraceSource(str(native), max_requests=4).load()) == 4
 
+    def test_unknown_format_rejected_at_construction(self):
+        with pytest.raises(TraceFormatError, match="'native'"):
+            TraceSource("x.csv", format="bogus")
+
     def test_is_picklable(self):
         import pickle
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.disk.drive import cheetah_10k, cheetah_15k, nearline_7200
 from repro.disk.mechanics import SeekProfile, rotation_time, transfer_time
 from repro.errors import DiskModelError
 from repro.units import ms
@@ -56,6 +57,41 @@ class TestSeekProfile:
             SeekProfile(single_cylinder=0.1, full_stroke=1.0, max_distance=1)
         with pytest.raises(DiskModelError):
             SeekProfile(0.1, 1.0, 100, boundary_fraction=1.5)
+
+
+def _curve_from_datasheet(profile):
+    """The curve constants derived inline with numpy square roots,
+    independently of :attr:`SeekProfile.curve`."""
+    b = profile._boundary
+    single, full, stroke = (
+        profile.single_cylinder, profile.full_stroke, profile.max_distance
+    )
+    t_boundary = single + (full - single) * (np.sqrt(b) - 1.0) / (
+        np.sqrt(stroke) - 1.0
+    )
+    k = (t_boundary - single) / (np.sqrt(b) - 1.0)
+    slope = (full - t_boundary) / (stroke - b)
+    return single, t_boundary, k, slope
+
+
+class TestSharedSeekCurve:
+    """``seek_time`` evaluates the one cached curve, bit for bit."""
+
+    @pytest.mark.parametrize("preset", [cheetah_10k, cheetah_15k, nearline_7200])
+    def test_seek_time_is_bit_equal_to_shared_curve(self, preset):
+        profile = preset().seek_profile()
+        assert profile.curve is profile.curve  # derived once, then cached
+        assert profile.curve == _curve_from_datasheet(profile)
+        single, t_boundary, k, slope = profile.curve
+        b, stroke = profile._boundary, profile.max_distance
+        for d in (0, 1, 2, b - 1, b, b + 1, stroke - 1, stroke, stroke + 10):
+            if d == 0:
+                expected = 0.0
+            elif d <= b:
+                expected = float(single + k * (np.sqrt(d) - 1.0))
+            else:
+                expected = float(t_boundary + slope * (min(d, stroke) - b))
+            assert profile.seek_time(d) == expected, d
 
 
 class TestRotation:

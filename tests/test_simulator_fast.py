@@ -4,7 +4,7 @@ Every specialized execution in :mod:`repro.disk.simulator` must produce
 the same scheduling results as the reference event loop
 (``fast_path=False``): bit-identical for the columnar serve loop (same
 decisions, draws and float operations as the ``service_time`` calls it
-inlines or makes), and within 1e-9 for the vectorized FCFS path (the
+inlines or makes), and within 1e-9 for batched cache-off FCFS (the
 start-time recurrence reassociates float additions).
 """
 
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.disk.columnar as columnar_module
 import repro.disk.simulator as simulator_module
 from repro.disk.faults import moderate_faults
 from repro.disk.simulator import DiskSimulator
@@ -305,8 +306,9 @@ def columnar_calls(monkeypatch):
 
 class TestColumnarRouting:
     """FCFS and SSTF runs replay through exactly one columnar entry point,
-    whatever hooks the device carries; only SCAN, ``fast_path=False`` and
-    the batched cache-off FCFS path bypass them."""
+    whatever hooks the device carries; only SCAN and ``fast_path=False``
+    bypass them. Batched cache-off FCFS is served inside
+    ``run_fcfs_columnar`` without the per-request loop."""
 
     HOOKS = {
         "bare": {},
@@ -358,10 +360,14 @@ class TestColumnarRouting:
 
     @pytest.mark.parametrize("obs", [None, "trace"])
     def test_bare_cache_off_fcfs_stays_vectorized(
-        self, tiny_spec_nocache, prop_trace, columnar_calls, obs,
+        self, tiny_spec_nocache, prop_trace, columnar_calls, obs, monkeypatch,
     ):
+        def no_loop(*args):
+            raise AssertionError("batched FCFS entered the serve loop")
+
+        monkeypatch.setattr(columnar_module, "_replay", no_loop)
         self.simulator(tiny_spec_nocache, "fcfs", obs=obs).run(prop_trace)
-        assert columnar_calls == []
+        assert columnar_calls == ["run_fcfs_columnar"]
 
 
 class TestZeroRequestPipeline:
@@ -384,18 +390,33 @@ class TestZeroRequestPipeline:
 
     @pytest.mark.parametrize("scheduler", ["fcfs", "sstf", "scan"])
     @pytest.mark.parametrize("fast_path", [True, False])
-    def test_empty_trace_simulates_cleanly(self, tiny_spec, scheduler, fast_path):
+    def test_empty_trace_simulates_cleanly(
+        self, tiny_spec, tiny_spec_nocache, scheduler, fast_path
+    ):
+        # Every engine handles n = 0 itself: cache off (batched FCFS),
+        # an NCQ window, and the hooked serve step under faults or a tier.
         profile = self.bmodel_profile()
         trace = profile.synthesize(
             span=5.0, capacity_sectors=tiny_spec.capacity_sectors, seed=0
         )
-        result = DiskSimulator(
-            tiny_spec, scheduler=scheduler, fast_path=fast_path
-        ).run(trace)
-        assert result.utilization == 0.0
-        assert result.timeline.span == 5.0
-        assert result.timeline.n_busy_periods == 0
-        assert result.timeline.idle_periods().sum() == pytest.approx(5.0)
+        cases = [
+            (tiny_spec, {}),
+            (tiny_spec_nocache, {}),
+            (tiny_spec, {"queue_depth": 4}),
+            (tiny_spec, {"faults": moderate_faults()}),
+            (tiny_spec, {"tier": TierConfig(mode="wb")}),
+        ]
+        for spec, options in cases:
+            result = DiskSimulator(
+                spec, scheduler=scheduler, fast_path=fast_path, **options
+            ).run(trace)
+            assert result.utilization == 0.0
+            assert result.timeline.span == 5.0
+            assert result.timeline.n_busy_periods == 0
+            assert result.timeline.idle_periods().sum() == pytest.approx(5.0)
+            assert result.n_failed == 0
+            if "tier" in options:
+                assert len(result.tier_hits) == 0
 
     def test_empty_trace_timeline_direct(self):
         timeline = BusyIdleTimeline([], span=4.0)
