@@ -10,13 +10,18 @@ at ``metrics`` level, and at ``trace`` level, and writes the numbers to
   engine selection);
 * **Overhead bound** — ``metrics`` level costs at most
   ``OVERHEAD_BOUND`` (8%; 25% in quick mode, whose small traces
-  amortize per-run fixed costs far less) extra wall time on the fully
-  vectorized FCFS path, the engine where fixed per-run costs are
-  hardest to hide, and
-  ``trace`` level at most ``TRACE_OVERHEAD_BOUND`` (3x): the columnar
-  event ring records batches as array appends and renders
-  ``TraceEvent`` objects only on read, so full tracing no longer pays
-  one Python object per request (it used to cost ~10x).
+  amortize per-run fixed costs far less) extra wall time on cache-off
+  FCFS through the columnar serve loop, and ``trace`` level at most
+  ``TRACE_OVERHEAD_BOUND`` (3x): the serve loop collects seek rows in
+  local lists and the columnar event ring records batches as array
+  appends, rendering ``TraceEvent`` objects only on read, so full
+  tracing pays no Python object per request (it used to cost ~10x).
+
+Each overhead is the median, over many rounds, of the per-round ratio
+of a level's wall time to the unobserved run's in the same round. Each
+round times ``off`` and ``metrics`` back to back, in an order that
+alternates from round to round, and then ``trace``, so host-load drift
+hits both sides of the tight metrics ratio alike.
 
 Run directly (``python benchmarks/bench_obs_overhead.py``) or via
 pytest; both rewrite the artifact. Set ``REPRO_BENCH_QUICK=1`` (the CI
@@ -46,8 +51,8 @@ ARTIFACT = Path(__file__).parent.parent / "BENCH_obs.json"
 #: ``REPRO_BENCH_QUICK=1``: shrink the span/repetitions for CI smoke runs.
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
-#: Heavy vectorized-path workload: fixed costs are amortized over many
-#: requests, so any *per-request* observability cost shows up clearly.
+#: Heavy workload: fixed costs are amortized over many requests, so any
+#: *per-request* observability cost shows up clearly.
 PROFILE = "database"
 RATE = 500.0
 SPAN = 20.0 if QUICK else 120.0
@@ -67,17 +72,15 @@ OVERHEAD_BOUND = 0.25 if QUICK else 0.08
 
 #: Acceptance ceiling for trace-level overhead, as a slowdown factor
 #: (t_trace / t_off). Columnar event recording holds measured overhead
-#: near 1.05x; the pinned bound stays loose for noisy shared boxes.
+#: near 1.7-1.9x on this workload (seek rows included); the pinned bound
+#: stays loose for noisy shared boxes.
 TRACE_OVERHEAD_BOUND = 3.0
 
-#: min-of-N repetitions per configuration (best-of filters scheduler
-#: noise on a shared box; the runs are ~50 ms each, so even 15 is cheap).
-REPETITIONS = 10 if QUICK else 15
+#: Timing rounds; each runs every level once. Odd, so the median of the
+#: per-round ratios is one observed round.
+ROUNDS = 11 if QUICK else 31
 
-#: The levels, timed round-robin: interleaving means a CPU-frequency
-#: drift mid-benchmark hits every level alike instead of biasing
-#: whichever level happened to be measured in the slow stretch —
-#: essential for resolving a few-percent overhead on a shared box.
+#: The levels timed in every round.
 LEVELS = ("off", "metrics", "trace")
 
 
@@ -90,20 +93,23 @@ def _workload():
     return drive, trace
 
 
-def _best_times(drive, trace):
-    """Interleaved best-of-N wall times, one per observability level.
+def _round_times(drive, trace):
+    """Wall times per observability level, one list entry per round.
 
-    A fresh :class:`Observer` is built inside the timed region on every
-    repetition — observer construction is part of the cost a user pays.
+    Even rounds run ``off, metrics, trace``; odd rounds run ``metrics,
+    off, trace``. A fresh :class:`Observer` is built inside the timed
+    region on every run — observer construction is part of the cost a
+    user pays.
     """
-    best = {level: float("inf") for level in LEVELS}
-    for _ in range(REPETITIONS):
-        for level in LEVELS:
+    times = {level: [] for level in LEVELS}
+    for r in range(ROUNDS):
+        pair = ("off", "metrics") if r % 2 == 0 else ("metrics", "off")
+        for level in pair + ("trace",):
             t0 = time.perf_counter()
             obs = None if level == "off" else Observer(level)
             DiskSimulator(drive, scheduler="fcfs", seed=SEED, obs=obs).run(trace)
-            best[level] = min(best[level], time.perf_counter() - t0)
-    return best
+            times[level].append(time.perf_counter() - t0)
+    return {level: np.asarray(values) for level, values in times.items()}
 
 
 def assert_bit_identical(drive, trace):
@@ -122,18 +128,18 @@ def measure():
     """Time the three observability levels; returns the row dicts."""
     drive, trace = _workload()
     baseline = assert_bit_identical(drive, trace)
-    best = _best_times(drive, trace)
-    t_off = best["off"]
+    times = _round_times(drive, trace)
     rows = []
     for level in LEVELS:
-        t = best[level]
+        best = float(times[level].min())
+        ratio = float(np.median(times[level] / times["off"]))
         rows.append(
             {
                 "level": level,
                 "n_requests": len(trace),
-                "best_seconds": round(t, 6),
-                "requests_per_sec": round(len(trace) / t, 1),
-                "overhead": round(t / t_off - 1.0, 4),
+                "best_seconds": round(best, 6),
+                "requests_per_sec": round(len(trace) / best, 1),
+                "overhead": round(ratio - 1.0, 4),
             }
         )
     return rows, len(trace), float(baseline.utilization)
@@ -151,6 +157,7 @@ def write_artifact(rows, n_requests, utilization):
             "profile": PROFILE, "rate": RATE, "span": SPAN,
             "n_requests": n_requests, "utilization": round(utilization, 4),
         },
+        "rounds": ROUNDS,
         "levels": rows,
         "metrics_overhead": metrics["overhead"],
         "overhead_bound": OVERHEAD_BOUND,
@@ -165,7 +172,7 @@ def write_artifact(rows, n_requests, utilization):
 def render_table(rows):
     table = Table(
         ["level", "requests", "best_s", "req_per_s", "overhead"],
-        title="P5: observability overhead (vectorized FCFS replay)",
+        title="P5: observability overhead (FCFS replay, cache off)",
         precision=4,
     )
     for row in rows:

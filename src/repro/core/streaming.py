@@ -210,11 +210,6 @@ class StreamingCharacterizer:
         return self._first_time
 
     @property
-    def last_time(self) -> Optional[float]:
-        """Absolute clock time of the latest arrival (None before any)."""
-        return self._prev_time
-
-    @property
     def span(self) -> float:
         """Observation span in seconds, relative to the stream's start."""
         if self._start is None:

@@ -1,25 +1,26 @@
-"""Columnar replay: every fast engine, over the trace's request columns.
+"""Columnar replay: the fast engine, over the trace's request columns.
 
 The reference event loop in :mod:`repro.disk.simulator` asks a scheduler
 object for every decision and steps the drive one Python method call per
-request. The engines here read the same four per-request arrays
-(arrival, LBA, length, direction) and one precompute of each request's
-cylinders and media time:
+request. The serve loop here reads the same four per-request arrays
+(arrival, LBA, length, direction) for every FCFS and SSTF run. FCFS
+serves in arrival order with no queue; SSTF keeps the ``window`` oldest
+pending requests in a cylinder-sorted list (younger ones wait in a FIFO
+backlog) and picks with the shared
+:func:`~repro.disk.scheduler.pick_from_sorted` bisect kernel.
 
-* **batched FCFS** — a bare :class:`~repro.disk.drive.DiskDrive` with its
-  cache off serves every request as a media access in arrival order, so
-  the run is array passes ending in the start-time recurrence
-  ``finish[i] = max(arrival[i], finish[i-1]) + service[i]``;
-* **the serve loop** — every other FCFS and SSTF run. FCFS serves in
-  arrival order with no queue; SSTF keeps the ``window`` oldest pending
-  requests in a cylinder-sorted list (younger ones wait in a FIFO
-  backlog) and picks with the shared
-  :func:`~repro.disk.scheduler.pick_from_sorted` bisect kernel. A bare
-  drive (no fault model, no trace-level observer) has its decision logic
-  inlined, exporting cache and head state before the loop and importing
-  it after, and tallies cache counters locally. A fault model, a
-  :class:`~repro.tier.TieredDevice` or a trace-level observer makes the
-  device *hooked*: each serve calls ``device.service_time`` and collects
+Each pick is served by one of two steps:
+
+* **bare** — a :class:`~repro.disk.drive.DiskDrive` with no fault model,
+  cache on or off. The drive's decision logic is inlined over one
+  precompute of each request's cylinders and media time, exporting cache
+  and head state before the loop and importing it after, and cache
+  counters are tallied locally. When the drive's observer traces, the
+  step collects one row per seek and per absorbed write and emits them
+  after the loop as column blocks, so observability never changes which
+  code serves a request;
+* **hooked** — a fault model or a :class:`~repro.tier.TieredDevice`:
+  each serve calls ``device.service_time`` and collects
   ``take_fault_event()``, with queue keys read from ``device.cylinder_of``
   at admission, exactly as the event loop reads them.
 
@@ -30,9 +31,8 @@ loop, with the seek curve read from
 :attr:`~repro.disk.mechanics.SeekProfile.curve`. Rotational latencies
 are drawn in serve order (``Generator.uniform(0, h, size=n)`` yields the
 same values as ``n`` scalar draws; the loop's block buffer leaves only
-an unused tail drawn past a scalar replay). The batched recurrence
-reassociates float additions (within 1e-9, clamped so no request starts
-before it arrives). Equivalence is pinned by
+an unused tail drawn past a scalar replay). Start and service times are
+bit-identical to ``fast_path=False``; equivalence is pinned by
 ``tests/test_simulator_fast.py`` and the hypothesis sweep in
 ``tests/test_simulator.py``.
 """
@@ -77,15 +77,7 @@ class Replay(NamedTuple):
 
 
 def run_fcfs_columnar(device, arrivals, lbas, sizes, is_write) -> Replay:
-    """FCFS: arrival order, no queue. A bare drive with its cache off is
-    served in one batched pass; every other device through the loop."""
-    if (
-        isinstance(device, DiskDrive)
-        and device.faults is None
-        and not device.spec.cache.read_ahead
-        and not device.spec.cache.write_back
-    ):
-        return _serve_batched(device, arrivals, lbas, sizes)
+    """FCFS: arrival order, no queue."""
     return _replay(device, arrivals, lbas, sizes, is_write, None)
 
 
@@ -103,61 +95,14 @@ def run_sstf_windowed_columnar(
 
 def _precompute(drive: DiskDrive, lbas: np.ndarray, sizes: np.ndarray):
     """``(cyl_start, cyl_end, media, rotation)``: each request's first and
-    last cylinder and media time, with :meth:`DiskDrive.service_time`'s
-    float operations."""
+    last cylinder and media time as lists, with
+    :meth:`DiskDrive.service_time`'s float operations."""
     geometry = drive.geometry
     rotation = rotation_time(drive.spec.rpm)
     cyl_start = geometry.cylinders_of(lbas)
     cyl_end = geometry.cylinders_of(lbas + sizes - 1)
     media = sizes * rotation / geometry.sectors_per_track_of(lbas)
-    return cyl_start, cyl_end, media, rotation
-
-
-def _serve_batched(
-    drive: DiskDrive, arrivals: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
-) -> Replay:
-    """FCFS on a bare drive with its cache off, in array passes: one
-    rotational-latency draw per non-contiguous access, and the recurrence
-    unrolled to ``finish = cumsum(service) + running_max(arrival -
-    exclusive_cumsum)``. Drive state ends where a scalar replay leaves it.
-    """
-    n = len(arrivals)
-    cyl_start, cyl_end, media, rotation = _precompute(drive, lbas, sizes)
-    head, last_media_end = drive.export_kinematics()
-    ends = lbas + sizes
-    prev_end = np.roll(ends, 1)
-    prev_end[:1] = last_media_end
-    contiguous = lbas == prev_end
-    prev_cyl = np.roll(cyl_end, 1)
-    prev_cyl[:1] = head
-    distances = np.minimum(np.abs(cyl_start - prev_cyl), drive.seek.max_distance)
-
-    latencies = np.zeros(n, dtype=np.float64)
-    noncontiguous = ~contiguous
-    draws = int(noncontiguous.sum())
-    if draws:
-        latencies[noncontiguous] = drive._rng.uniform(0.0, rotation, size=draws)
-    single, t_boundary, k, slope = drive.seek.curve
-    boundary = drive.seek._boundary
-    seeks = np.where(
-        distances <= boundary,
-        single + k * (np.sqrt(distances) - 1.0),
-        t_boundary + slope * (distances - boundary),
-    )
-    seeks = np.where(distances == 0, 0.0, seeks)
-    positioning = np.where(contiguous, 0.0, seeks + latencies)
-    services = drive.spec.command_overhead + positioning + media
-
-    cumulative = np.cumsum(services)
-    exclusive = np.roll(cumulative, 1)
-    exclusive[:1] = 0.0
-    slack = np.maximum.accumulate(arrivals - exclusive)
-    # Clamp so float reassociation can never start a request before it
-    # arrives (the event loop guarantees this exactly).
-    starts = np.maximum(exclusive + slack, arrivals)
-    if n:
-        drive.import_kinematics(int(cyl_end[-1]), int(ends[-1]))
-    return Replay(starts, services, np.arange(n), [], (0, 0, 0))
+    return cyl_start.tolist(), cyl_end.tolist(), media.tolist(), rotation
 
 
 def _replay(
@@ -187,11 +132,7 @@ def _replay(
     write_list = is_write.tolist()
     fcfs = window is None
     faults = device.faults
-    hooked = (
-        not isinstance(device, DiskDrive)
-        or faults is not None
-        or (device.obs is not None and device.obs.tracing)
-    )
+    hooked = not isinstance(device, DiskDrive) or faults is not None
     if hooked:
         service_time = device.service_time
         cylinder_of = device.cylinder_of
@@ -200,8 +141,7 @@ def _replay(
         keys = [0] * n  # queue key of each request, set at admission
     else:
         nbytes_list = (sizes * SECTOR_BYTES).tolist()
-        *columns, rotation = _precompute(device, lbas, sizes)
-        cyl_start, cyl_end, media_list = (column.tolist() for column in columns)
+        cyl_start, cyl_end, media_list, rotation = _precompute(device, lbas, sizes)
         keys = cyl_start
         single, t_boundary, k, slope = device.seek.curve
         boundary = device.seek._boundary
@@ -222,6 +162,10 @@ def _replay(
         rng_uniform = device._rng.uniform
         draw_buf: List[float] = []
         draw_pos = 0
+        obs = device.obs
+        tracing = obs is not None and obs.tracing
+        seek_rows: List[tuple] = []  # (clock, from, to, distance, seconds)
+        absorbed_rows: List[tuple] = []  # (clock, nbytes, dirty bytes)
     read_hits = 0
     absorbed_n = 0
     fallthrough_n = 0
@@ -287,6 +231,8 @@ def _replay(
                         absorbed += nbytes
                         absorbed_n += 1
                         service = hit_overhead
+                        if tracing:
+                            absorbed_rows.append((clock, nbytes, dirty))
                     else:
                         fallthrough_n += 1
             elif read_ahead:
@@ -310,11 +256,17 @@ def _replay(
                         distance = -distance
                     if distance == 0:
                         positioning = latency
-                    elif distance <= boundary:
-                        positioning = single + k * (sqrt(distance) - 1.0) + latency
                     else:
-                        d = distance if distance < max_distance else max_distance
-                        positioning = t_boundary + slope * (d - boundary) + latency
+                        if distance <= boundary:
+                            seek = single + k * (sqrt(distance) - 1.0)
+                        else:
+                            d = distance if distance < max_distance else max_distance
+                            seek = t_boundary + slope * (d - boundary)
+                        positioning = seek + latency
+                        if tracing:
+                            seek_rows.append(
+                                (clock, head, cyl_start[i], distance, seek)
+                            )
                 head = cyl_end[i]
                 last_media_end = lba + size
                 if not is_write and read_ahead:
@@ -329,6 +281,15 @@ def _replay(
     if not hooked:
         device.cache.import_state(segments, dirty, absorbed, drained_total, last_drain)
         device.import_kinematics(head, last_media_end)
+        if tracing:
+            _emit_rows(
+                obs, "seek", "drive", seek_rows,
+                ("from_cylinder", "to_cylinder", "distance", "seconds"),
+            )
+            _emit_rows(
+                obs, "write_absorbed", "cache", absorbed_rows,
+                ("nbytes", "dirty_bytes"),
+            )
     events.sort(key=lambda e: e.index)
     return Replay(
         np.asarray(starts, dtype=np.float64),
@@ -337,3 +298,11 @@ def _replay(
         events,
         (read_hits, absorbed_n, fallthrough_n),
     )
+
+
+def _emit_rows(obs, kind: str, source: str, rows: List[tuple], fields) -> None:
+    """Emit rows of ``(clock, *payload)`` as one column block, with
+    payload columns named by ``fields`` in order."""
+    if rows:
+        times, *columns = zip(*rows)
+        obs.emit_columns(kind, source, times, **dict(zip(fields, columns)))

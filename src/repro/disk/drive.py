@@ -5,9 +5,10 @@
 geometry, seek curve, rotation, cache and head position into a service
 time per request.
 
-The fast replay engines in :mod:`repro.disk.columnar` serve a bare drive
-by inlining :meth:`DiskDrive.service_time` over precomputed per-request
-geometry, so the two must change in lockstep.
+The columnar serve loop in :mod:`repro.disk.columnar` serves a bare
+drive (no fault model, cache on or off, observed or not) by inlining
+:meth:`DiskDrive.service_time` over precomputed per-request geometry,
+seek events included, so the two must change in lockstep.
 
 The presets approximate the enterprise drive classes of the paper's era:
 a 10K-RPM mainstream enterprise drive (the family the Lifetime traces
@@ -156,9 +157,10 @@ class DiskDrive:
         self.faults = faults
         self._last_fault = None
         #: Optional :class:`~repro.obs.Observer`; attached by the
-        #: simulator at trace level so seeks are recorded as events.
-        #: Never consulted by batched FCFS and never touches the RNG, so
-        #: observed and unobserved runs are bit-identical.
+        #: simulator at trace level so seeks are recorded as ``seek``
+        #: events (by this method, or by the columnar bare step after its
+        #: loop). Never touches the RNG, so observed and unobserved runs
+        #: are bit-identical.
         self.obs = None
 
     def reset(self) -> None:
@@ -243,14 +245,11 @@ class DiskDrive:
             obs = self.obs
             if obs is not None and obs.tracing and distance > 0:
                 obs.emit(
-                    "seek_start", now, "drive",
+                    "seek", now, "drive",
                     from_cylinder=self._head_cylinder,
                     to_cylinder=target_cylinder,
                     distance=distance,
-                )
-                obs.emit(
-                    "seek_end", now + seek_seconds, "drive",
-                    to_cylinder=target_cylinder,
+                    seconds=seek_seconds,
                 )
         media = transfer_time(
             nsectors, self.geometry.sectors_per_track_at(media_lba), self.spec.rpm

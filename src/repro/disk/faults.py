@@ -319,10 +319,6 @@ class FaultModel:
         """Latent regions with no scheduled repair — the scrub worklist."""
         return tuple(sorted(self._latent - set(self._repairs)))
 
-    def region_of(self, lba: int) -> int:
-        """The fault-map region containing ``lba``."""
-        return int(lba) // self.profile.region_sectors
-
     # ------------------------------------------------------------------
     # Scrub integration
     # ------------------------------------------------------------------

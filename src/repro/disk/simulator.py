@@ -9,20 +9,17 @@ and idle on hardware, we observe it on the model.
 
 The replay has two executions of the same queueing model:
 
-* the **columnar engines** (:mod:`repro.disk.columnar`) — every FCFS
-  and SSTF run, full or NCQ-windowed, over the same per-request arrays
-  the event loop reads. FCFS on a bare drive with its cache off is one
-  batched computation; every other run goes through one serve loop,
-  with a bare drive's decision logic inlined and a fault model, tier or
-  trace-level observer served through the device's own per-access
-  hooks;
+* the **columnar serve loop** (:mod:`repro.disk.columnar`) — every
+  FCFS and SSTF run, full or NCQ-windowed, over the same per-request
+  arrays the event loop reads. A healthy drive's decision logic is
+  inlined (cache on or off, observed or not); a fault model or tier is
+  served through the device's own per-access hooks;
 * the **event loop** — the reference, and the path for SCAN and any
   custom scheduler: the queue is kept in arrival order and windowed runs
   slice the oldest ``queue_depth`` entries in O(queue_depth).
 
 ``fast_path=False`` forces every run through the reference event loop;
-the equivalence of the columnar engines is asserted against it in the
-test suite.
+the columnar loop is bit-identical to it, as the test suite asserts.
 """
 
 from __future__ import annotations
@@ -236,16 +233,12 @@ class DiskSimulator:
         :class:`~repro.obs.Observer` at level ``"metrics"`` fills its
         registry post-hoc from the result arrays (a few vectorized
         passes; designed for ≤8% overhead on the fast paths); at level
-        ``"trace"`` the drive, cache and fault model additionally emit
+        ``"trace"`` the drive, cache, fault model and tier additionally emit
         typed events into ``obs.events``. Observability never changes
         engine selection, RNG draws or results — every level is
         bit-identical to ``obs=None`` on every engine (asserted by
-        property tests). Per-seek events need the per-request drive
-        hook: at trace level the columnar loop serves through it, but
-        batched FCFS (cache off, no faults, no tier) records
-        serve/queue-depth events (reconstructed post-hoc) and no seek
-        events; pass ``fast_path=False`` (or enable the cache / a fault
-        model / another discipline) to get them.
+        property tests), and the fast and reference engines emit the
+        same events and metrics.
     """
 
     def __init__(
@@ -328,8 +321,8 @@ class DiskSimulator:
         obs = self.obs
         observing = obs is not None and obs.enabled
         tracing = obs is not None and obs.tracing
-        # Seek events need the per-request hook, so they are trace-only;
-        # cache and fault accounting is cheap enough for metrics level.
+        # Seek and absorbed-write events are trace-only; cache and fault
+        # accounting is cheap enough for metrics level.
         drive.obs = obs if tracing else None
         drive.cache.obs = obs if observing else None
         if drive.faults is not None:

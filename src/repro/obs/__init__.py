@@ -21,7 +21,7 @@ views, all optional and all off by default:
 - ``"off"`` — nothing recorded; the instrumented code must behave
   bit-identically to ``obs=None`` (asserted by tests).
 - ``"metrics"`` — registry only; designed for ≤8% overhead on the
-  vectorized engines (metrics are filled post-hoc from result arrays).
+  columnar engines (metrics are filled post-hoc from result arrays).
 - ``"trace"`` — registry plus event recording.
 """
 

@@ -53,13 +53,13 @@ class TraceEvent:
     time:
         Simulation-clock seconds at which the event happened.
     kind:
-        The event type (``'serve'``, ``'queue_depth'``, ``'seek_start'``,
-        ``'seek_end'``, ``'retry'``, ``'reassignment'``, ``'slow_region'``,
-        ``'scrub_chunk'``, ``'write_absorbed'``, ``'cache_hit'``,
-        ``'run_end'``, ...).
+        The event type: ``'serve'``, ``'queue_depth'``, ``'seek'``,
+        ``'write_absorbed'``, ``'retry'``, ``'reassignment'``,
+        ``'slow_region'``, ``'tier_flush'``, ``'tier_migration'``,
+        ``'scrub_chunk'`` or ``'run_end'``.
     source:
         The emitting subsystem (``'sim'``, ``'queue'``, ``'drive'``,
-        ``'faults'``, ``'cache'``, ``'scrub'``).
+        ``'cache'``, ``'faults'``, ``'tier'``, ``'scrub'``).
     data:
         Kind-specific payload fields.
     """

@@ -101,3 +101,22 @@ def test_experiments_table_ids_are_unique():
     ]
     assert len(ids) == len(set(ids)), f"duplicate experiment ids: {ids}"
     assert "I29" in ids, "EXPERIMENTS.md is missing the I29 ingestion row"
+
+
+def test_readme_documents_every_event_kind(tiny_spec, web_trace):
+    """Every event kind a trace-level replay emits (drive, cache, faults
+    and tier all active) is named in README's observability section."""
+    from repro.disk.faults import moderate_faults
+    from repro.disk.simulator import DiskSimulator
+    from repro.obs import Observer
+    from repro.tier import TierConfig
+
+    obs = Observer("trace", event_capacity=1 << 18)
+    DiskSimulator(
+        tiny_spec, seed=3, faults=moderate_faults(),
+        tier=TierConfig(mode="wb"), obs=obs,
+    ).run(web_trace)
+    kinds = {event.kind for event in obs.events}
+    readme = (REPO / "README.md").read_text()
+    missing = sorted(kind for kind in kinds if f"`{kind}`" not in readme)
+    assert not missing, f"README.md does not mention event kinds: {missing}"

@@ -7,6 +7,8 @@ and ``trace`` additionally records replayable events.
 """
 
 import dataclasses
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -130,13 +132,35 @@ class TestEventStream:
         assert run_end.time == pytest.approx(result.timeline.span)
         assert run_end.data["n_requests"] == len(web_trace)
 
-    def test_vectorized_path_has_no_seek_events(self, tiny_spec_nocache, web_trace):
-        """Documented trade-off: the vectorized FCFS engine records
-        serve/queue events post-hoc but no per-request seeks."""
-        obs = Observer("trace")
-        DiskSimulator(tiny_spec_nocache, scheduler="fcfs", seed=3, obs=obs).run(web_trace)
-        kinds = {e.kind for e in obs.events}
-        assert "serve" in kinds and "seek_start" not in kinds
+    def test_fast_runs_emit_the_reference_events(
+        self, tiny_spec, tiny_spec_nocache, web_trace
+    ):
+        """Observability never changes which code serves a request, so a
+        fast trace-level run emits the same events (as a multiset: the
+        engines batch sources differently) and the same metrics as the
+        reference event loop, cache on or off."""
+
+        def observe(spec, scheduler, queue_depth, fast_path):
+            obs = Observer("trace", event_capacity=1 << 18)
+            DiskSimulator(
+                spec, scheduler=scheduler, seed=3, queue_depth=queue_depth,
+                fast_path=fast_path, obs=obs,
+            ).run(web_trace)
+            assert obs.events.n_dropped == 0
+            events = Counter(
+                json.dumps(event.as_dict(), sort_keys=True) for event in obs.events
+            )
+            return events, obs.metrics.as_dict()
+
+        for spec in (tiny_spec, tiny_spec_nocache):
+            for scheduler, queue_depth in (("fcfs", None), ("sstf", None), ("sstf", 4)):
+                fast_events, fast_metrics = observe(spec, scheduler, queue_depth, True)
+                ref_events, ref_metrics = observe(spec, scheduler, queue_depth, False)
+                config = (spec.cache.read_ahead, scheduler, queue_depth)
+                assert fast_events == ref_events, config
+                assert fast_metrics == ref_metrics, config
+                kinds = {json.loads(event)["kind"] for event in fast_events}
+                assert "seek" in kinds, config
 
     def test_trace_and_timeline_reconstruction(self, tiny_spec, web_trace):
         obs = Observer("trace", event_capacity=1 << 18)

@@ -1,11 +1,10 @@
 """The fast replay paths against the reference event loop.
 
-Every specialized execution in :mod:`repro.disk.simulator` must produce
-the same scheduling results as the reference event loop
-(``fast_path=False``): bit-identical for the columnar serve loop (same
-decisions, draws and float operations as the ``service_time`` calls it
-inlines or makes), and within 1e-9 for batched cache-off FCFS (the
-start-time recurrence reassociates float additions).
+Every FCFS and SSTF run goes through the columnar serve loop, which must
+produce the same scheduling results as the reference event loop
+(``fast_path=False``) byte for byte: same decisions, draws and float
+operations as the ``service_time`` calls it inlines or makes, cache on
+or off.
 """
 
 import numpy as np
@@ -61,12 +60,8 @@ class TestFastPathEquivalence:
 
     def test_fcfs_vectorized_matches_event_loop(self, tiny_spec_nocache, heavy_trace):
         fast, reference = both_paths(tiny_spec_nocache, heavy_trace, "fcfs")
-        # Service times are one batched computation with the exact scalar
-        # arithmetic: bit-identical. Start times reassociate: 1e-9.
         np.testing.assert_array_equal(fast.service_times, reference.service_times)
-        np.testing.assert_allclose(
-            fast.start_times, reference.start_times, rtol=0, atol=1e-9
-        )
+        np.testing.assert_array_equal(fast.start_times, reference.start_times)
         assert np.all(fast.start_times >= heavy_trace.times)
 
     def test_sstf_sorted_bit_identical(self, tiny_spec, heavy_trace):
@@ -123,7 +118,7 @@ def test_windowed_decisions_are_queue_depth_bounded(tiny_spec, heavy_trace):
 
 
 class TestVectorizedFcfsProperty:
-    """Property: the vectorized FCFS path equals the event loop across
+    """Property: FCFS on a cache-off drive equals the event loop across
     random workload shapes, rates, spans and seeds."""
 
     @given(
@@ -153,12 +148,8 @@ class TestVectorizedFcfsProperty:
             tiny_spec_nocache, scheduler="fcfs", seed=sim_seed,
             queue_depth=queue_depth, fast_path=False,
         ).run(trace)
-        np.testing.assert_allclose(
-            fast.start_times, reference.start_times, rtol=0, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            fast.finish_times, reference.finish_times, rtol=0, atol=1e-9
-        )
+        np.testing.assert_array_equal(fast.start_times, reference.start_times)
+        np.testing.assert_array_equal(fast.finish_times, reference.finish_times)
         # Scheduling invariants hold on the fast path directly.
         assert np.all(fast.start_times >= trace.times)
         if len(trace) > 1:
@@ -307,8 +298,8 @@ def columnar_calls(monkeypatch):
 class TestColumnarRouting:
     """FCFS and SSTF runs replay through exactly one columnar entry point,
     whatever hooks the device carries; only SCAN and ``fast_path=False``
-    bypass them. Batched cache-off FCFS is served inside
-    ``run_fcfs_columnar`` without the per-request loop."""
+    bypass them. Cache-off FCFS goes through the same serve loop as
+    every other run."""
 
     HOOKS = {
         "bare": {},
@@ -362,12 +353,22 @@ class TestColumnarRouting:
     def test_bare_cache_off_fcfs_stays_vectorized(
         self, tiny_spec_nocache, prop_trace, columnar_calls, obs, monkeypatch,
     ):
-        def no_loop(*args):
-            raise AssertionError("batched FCFS entered the serve loop")
+        loop_calls = []
+        serve_loop = columnar_module._replay
 
-        monkeypatch.setattr(columnar_module, "_replay", no_loop)
-        self.simulator(tiny_spec_nocache, "fcfs", obs=obs).run(prop_trace)
+        def counted_loop(*args):
+            loop_calls.append(args[-1])
+            return serve_loop(*args)
+
+        monkeypatch.setattr(columnar_module, "_replay", counted_loop)
+        fast = self.simulator(tiny_spec_nocache, "fcfs", obs=obs).run(prop_trace)
         assert columnar_calls == ["run_fcfs_columnar"]
+        assert loop_calls == [None]  # the serve loop, in arrival order
+        reference = self.simulator(
+            tiny_spec_nocache, "fcfs", fast_path=False, obs=obs
+        ).run(prop_trace)
+        assert fast.start_times.tobytes() == reference.start_times.tobytes()
+        assert fast.service_times.tobytes() == reference.service_times.tobytes()
 
 
 class TestZeroRequestPipeline:
@@ -393,8 +394,8 @@ class TestZeroRequestPipeline:
     def test_empty_trace_simulates_cleanly(
         self, tiny_spec, tiny_spec_nocache, scheduler, fast_path
     ):
-        # Every engine handles n = 0 itself: cache off (batched FCFS),
-        # an NCQ window, and the hooked serve step under faults or a tier.
+        # Every engine handles n = 0 itself: cache off, an NCQ window,
+        # and the hooked serve step under faults or a tier.
         profile = self.bmodel_profile()
         trace = profile.synthesize(
             span=5.0, capacity_sectors=tiny_spec.capacity_sectors, seed=0
